@@ -5,8 +5,8 @@ Three measurements:
 
 1. **Bit-identity** -- the Figure 6 (UnixBench) and Figure 7 (httperf)
    workloads run twice, recorder off and recorder on
-   (``REPRO_TRACE=1`` + ``REPRO_JOURNAL_DIR`` so every machine journals
-   spans and trace events to disk).  Spans read the virtual clock but
+   (``REPRO_JOURNAL_DIR`` so every machine journals its spans and events
+   to disk).  Spans read the virtual clock but
    never advance it, so every virtual-cycle score must be **exactly**
    equal across the two passes -- not within a tolerance.
 2. **Wall-clock gate** -- journaling costs host time; the recorder-on
@@ -55,10 +55,8 @@ def _wall_gate() -> float:
 def _run_suite(recording: bool, scale: int, journal_dir: str) -> dict:
     """One full measurement pass with the flight recorder forced on/off."""
     if recording:
-        os.environ["REPRO_TRACE"] = "1"
         os.environ["REPRO_JOURNAL_DIR"] = journal_dir
     else:
-        os.environ.pop("REPRO_TRACE", None)
         os.environ.pop("REPRO_JOURNAL_DIR", None)
 
     # imported lazily so each pass sees the right environment from boot
@@ -111,7 +109,6 @@ def _scores(suite: dict) -> dict:
 
 def _attack_replay(scale: int) -> dict:
     """Record a KBeast capture; prove the journal replays losslessly."""
-    os.environ.pop("REPRO_TRACE", None)
     os.environ.pop("REPRO_JOURNAL_DIR", None)
     from repro.analysis.similarity import profile_applications
     from repro.core.facechange import FaceChange

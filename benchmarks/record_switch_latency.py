@@ -2,7 +2,7 @@
 """Record switch-latency results (``BENCH_switching.json``).
 
 Runs the Figure 6 (UnixBench) and Figure 7 (httperf) workloads twice
-with tracing off -- once interpreted (``REPRO_JIT=0``) and once under
+with recording off -- once interpreted (``REPRO_JIT=0``) and once under
 block translation (the default) -- while sampling host wall time of the
 three operations the caching layer targets:
 
@@ -91,7 +91,7 @@ def _instrument():
 
 
 def _run_suite(scale: int, jit: bool) -> dict:
-    os.environ.pop("REPRO_TRACE", None)
+    os.environ.pop("REPRO_JOURNAL_DIR", None)
     os.environ["REPRO_JIT"] = "1" if jit else "0"
     from repro.analysis.similarity import profile_applications
     from repro.bench.httperf import run_httperf_sweep
@@ -186,7 +186,7 @@ def main() -> int:
         "unixbench": result["unixbench"],
         "httperf": result["httperf"],
         "note": (
-            "Wall-clock of the tracing-off benchmark suite with block "
+            "Wall-clock of the recording-off benchmark suite with block "
             "translation on (primary) and off (interp_wall_seconds).  "
             "Scores are virtual-cycle ratios and must be bit-identical "
             "between the two passes and to BENCH_telemetry.json: the "

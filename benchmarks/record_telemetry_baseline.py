@@ -2,16 +2,16 @@
 """Record the telemetry-overhead baseline (``BENCH_telemetry.json``).
 
 Runs the Figure 6 (UnixBench) and Figure 7 (httperf) workloads twice --
-with trace recording off (the default) and on (``REPRO_TRACE=1``) -- and
-writes both score sets plus their ratios to ``BENCH_telemetry.json`` at
-the repository root.
+with the flight recorder off (the default) and on (``REPRO_JOURNAL_DIR``
+attaches a span journal to every machine) -- and writes both score sets
+plus their ratios to ``BENCH_telemetry.json`` at the repository root.
 
 Because the benchmarks score *virtual* cycles and telemetry charges no
 guest cycles, the enabled/disabled ratio must be exactly 1.0 for every
 subtest; the recorded file documents that invariant (and a future change
-that accidentally charges guest time for tracing will show up as a
+that accidentally charges guest time for recording will show up as a
 ratio drift here).  Host-side wall time for both modes is recorded too,
-as the honest measure of what tracing costs the simulator itself.
+as the honest measure of what recording costs the simulator itself.
 
 Both passes run with block translation pinned off (``REPRO_JIT=0``):
 the ``telemetry_off`` wall clock doubles as the interpreter reference
@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -43,15 +44,15 @@ def _httperf_rates() -> list:
     return [int(r) for r in raw.split(",") if r]
 
 
-def _run_suite(tracing: bool, scale: int) -> dict:
-    """One full measurement pass with tracing forced on or off."""
-    if tracing:
-        os.environ["REPRO_TRACE"] = "1"
+def _run_suite(recording: bool, scale: int, journal_dir: str) -> dict:
+    """One full measurement pass with the flight recorder on or off."""
+    if recording:
+        os.environ["REPRO_JOURNAL_DIR"] = journal_dir
     else:
-        os.environ.pop("REPRO_TRACE", None)
+        os.environ.pop("REPRO_JOURNAL_DIR", None)
     # Pin block translation off: this file is the *interpreter* reference
     # that BENCH_switching.json's speedup gate compares against, and the
-    # tracing on/off ratio must be measured on one fixed execution mode.
+    # recording on/off ratio must be measured on one fixed execution mode.
     os.environ["REPRO_JIT"] = "0"
 
     # imported lazily so each pass sees the right environment from boot
@@ -82,7 +83,7 @@ def _run_suite(tracing: bool, scale: int) -> dict:
     }
 
     return {
-        "tracing": tracing,
+        "recording": recording,
         "unixbench": unixbench,
         "httperf": httperf,
         "wall_seconds": round(time.monotonic() - started, 2),
@@ -91,8 +92,10 @@ def _run_suite(tracing: bool, scale: int) -> dict:
 
 def main() -> int:
     scale = _bench_scale()
-    off = _run_suite(tracing=False, scale=scale)
-    on = _run_suite(tracing=True, scale=scale)
+    with tempfile.TemporaryDirectory() as journal_dir:
+        off = _run_suite(recording=False, scale=scale, journal_dir=journal_dir)
+        on = _run_suite(recording=True, scale=scale, journal_dir=journal_dir)
+        os.environ.pop("REPRO_JOURNAL_DIR", None)
 
     ratios = {
         "unixbench_index": on["unixbench"]["three_views_index"]
@@ -110,7 +113,7 @@ def main() -> int:
         "telemetry_on": on,
         "on_over_off": ratios,
         "note": (
-            "Scores are virtual-cycle ratios; tracing charges no guest "
+            "Scores are virtual-cycle ratios; recording charges no guest "
             "cycles, so on/off must be 1.0 exactly.  Wall seconds show "
             "the host-side cost of recording."
         ),

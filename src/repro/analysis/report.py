@@ -93,15 +93,16 @@ def _section_trace(out: io.StringIO, configs, scale: int) -> None:
 
     app = "top"
     machine = boot_machine(platform=Platform.KVM)
-    machine.enable_tracing()
+    journal = machine.start_recording()
     fc = FaceChange(machine)
     fc.enable()
     fc.load_view(configs[app], comm=app)
     handle = launch(machine, app, APP_CATALOG[app], scale=scale)
     handle.run_to_completion(max_cycles=200_000_000_000)
+    machine.stop_recording()
     out.write("## Trace — telemetry timeline for one enforced run\n\n")
-    out.write(f"({app} under its kernel view, tracing enabled)\n\n```\n")
-    out.write(format_trace_report(machine.telemetry, fc.log, limit=60))
+    out.write(f"({app} under its kernel view, flight recorder on)\n\n```\n")
+    out.write(format_trace_report(machine.telemetry, journal.records(), limit=60))
     out.write("\n```\n\n")
 
 
@@ -152,7 +153,7 @@ def _section_caches(out: io.StringIO, configs, scale: int) -> None:
 
 
 def _section_observability(out: io.StringIO, configs, scale: int) -> None:
-    """Recorder accounting: trace-ring and journal drop visibility."""
+    """Recorder accounting: span-journal drop visibility."""
     from repro.apps.base import launch
     from repro.apps.catalog import APP_CATALOG
     from repro.core.facechange import FaceChange
@@ -169,14 +170,12 @@ def _section_observability(out: io.StringIO, configs, scale: int) -> None:
     handle = launch(machine, app, APP_CATALOG[app], scale=scale)
     handle.run_to_completion(max_cycles=200_000_000_000)
     trees = build_span_trees(journal.records())
-    trace = machine.telemetry.trace
     verdicts = machine.telemetry.labelled.get("recovery.verdicts")
     machine.stop_recording()
     out.write("## Observability — recorder accounting\n\n")
     out.write(f"(one enforced {app} run with the flight recorder on)\n\n")
     out.write("| instrument | recorded | dropped |\n")
     out.write("|---|---|---|\n")
-    out.write(f"| trace ring | {len(trace)} | {trace.dropped} |\n")
     out.write(f"| span journal | {journal.seq} | {journal.dropped} |\n")
     out.write(f"| causal chains | {len(trees)} | — |\n")
     if verdicts is not None and verdicts.values:
@@ -343,7 +342,7 @@ def generate_prometheus(
     handle = launch(machine, app, APP_CATALOG[app], scale=scale)
     handle.run_to_completion(max_cycles=200_000_000_000)
     return format_prometheus(
-        telemetry_snapshot(machine.telemetry, events=False), prefix="repro"
+        telemetry_snapshot(machine.telemetry), prefix="repro"
     )
 
 

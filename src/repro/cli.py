@@ -234,8 +234,13 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Virtual-cycle caps of a ``repro trace`` run (clean app, infected app).
+_TRACE_CAP = 200_000_000_000
+_TRACE_ATTACK_CAP = 60_000_000_000
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Quickstart run with tracing on, rendered as an event timeline."""
+    """Quickstart run with the flight recorder on, rendered as a timeline."""
     from repro.analysis.similarity import profile_applications
     from repro.analysis.timeline import format_trace_report
     from repro.apps.catalog import APP_CATALOG
@@ -271,48 +276,47 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     config = profile_applications(apps=[args.app], scale=args.scale)[args.app]
     machine = boot_machine(config=guest)
     print(f"guest: {guest.label()} (digest {machine.guest_digest[:12]})")
-    if args.journal:
-        meta = {"app": args.app, "scale": args.scale}
-        if attack is not None:
-            meta["attack"] = attack.name
-        machine.start_recording(path=args.journal, meta=meta)
-    machine.enable_tracing()
+    meta = {"app": args.app, "scale": args.scale}
+    if attack is not None:
+        meta["attack"] = attack.name
+    journal = machine.start_recording(path=args.journal, keep=True, meta=meta)
     fc = FaceChange(machine)
     fc.enable()
     fc.load_view(config, comm=args.app)
     from repro.apps.base import launch
 
-    failed = False
     if attack is not None:
         print(f"running {args.app} infected with {attack.name} "
-              "under its kernel view (tracing on)...")
+              "under its kernel view (recording on)...")
+        cap = _TRACE_ATTACK_CAP
         handle = attack.launch(machine, scale=args.scale)
         machine.run(
             until=lambda: handle.finished,
-            max_cycles=machine.cycles + 60_000_000_000,
+            max_cycles=machine.cycles + cap,
             step_budget=50_000,
         )
     else:
-        print(f"running {args.app} under its kernel view (tracing on)...")
+        print(f"running {args.app} under its kernel view (recording on)...")
+        cap = _TRACE_CAP
         handle = launch(
             machine, args.app, APP_CATALOG[args.app], scale=args.scale
         )
-        handle.run_to_completion(max_cycles=200_000_000_000)
-        failed = not handle.finished
-        if failed:
-            print("error: workload did not finish within the cycle budget",
-                  file=sys.stderr)
+        handle.run_to_completion(max_cycles=cap)
+    failed = not handle.finished
+    if failed:
+        print("error: workload did not finish within the cycle cap "
+              f"({cap:,} cycles)", file=sys.stderr)
     print()
     app_filter = args.app if args.app_only else None
     print(format_trace_report(
-        machine.telemetry, fc.log, app=app_filter, limit=args.limit
+        machine.telemetry, journal.records(), app=app_filter, limit=args.limit
     ))
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(to_json(machine.telemetry))
         print(f"\nwrote telemetry snapshot to {args.output}")
+    machine.stop_recording()
     if args.journal:
-        machine.stop_recording()
         print(f"wrote span journal to {args.journal} "
               f"(render with: repro.cli forensics {args.journal})")
     return 1 if failed else 0
@@ -448,13 +452,13 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_forensics(args: argparse.Namespace) -> int:
-    """Render the attack/recovery narrative from a flight-recorder file."""
-    from repro.obs import render_forensics
+    """Render a journal's attack/recovery narrative or an archive's incidents."""
+    from repro.obs import ObsStoreError, render_forensics
     from repro.telemetry import JournalError
 
     try:
         print(render_forensics(args.path))
-    except JournalError as exc:
+    except (JournalError, ObsStoreError) as exc:
         return _fail(str(exc))
     return 0
 
@@ -642,7 +646,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         metrics_addr=args.metrics_addr,
         slo_latency=args.slo_latency,
         alert_rules=alert_rules,
-        ops_journal=args.ops_journal,
         obs_dir=args.obs_dir,
         obs_rotate_bytes=args.obs_rotate_bytes,
         obs_rotate_seconds=args.obs_rotate_seconds,
@@ -1096,7 +1099,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(fn=_cmd_inspect)
 
     p = sub.add_parser(
-        "trace", help="run one app under its view with tracing, print timeline"
+        "trace",
+        help="run one app under its view with the flight recorder on, "
+        "print timeline",
     )
     p.add_argument("app", nargs="?", default="top")
     p.add_argument("-o", "--output", help="save the telemetry snapshot JSON")
@@ -1175,12 +1180,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser(
         "forensics",
-        help="render the causal attack/recovery narrative from a journal",
+        help="render the causal attack/recovery narrative from a journal, "
+        "or the operational incidents of a serve --obs-dir archive",
     )
     p.add_argument(
         "path",
         help="span journal (repro trace --journal / fleet --journal-dir) "
-        "or legacy telemetry snapshot JSON",
+        "or serve --obs-dir directory",
     )
     p.set_defaults(fn=_cmd_forensics)
 
@@ -1329,11 +1335,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument(
         "--alert-rules",
         help="JSON file of alert rules (default: the built-in rule set)",
-    )
-    p.add_argument(
-        "--ops-journal",
-        help="append alert transitions to this journal file "
-        "(readable by repro forensics)",
     )
     p.add_argument(
         "--obs-dir",

@@ -22,7 +22,6 @@ The paper's contribution, layered over the simulated hypervisor:
 
 from repro.core.rangelist import KernelProfile, RangeList, similarity_index
 from repro.core.kernel_view import KernelViewConfig, union_view
-from repro.core.library import ViewLibrary
 from repro.core.profiler import Profiler
 from repro.core.provenance import RecoveryEvent, RecoveryLog
 from repro.core.scanner import HiddenCodeScanner
@@ -37,7 +36,6 @@ __all__ = [
     "RangeList",
     "RecoveryEvent",
     "RecoveryLog",
-    "ViewLibrary",
     "similarity_index",
     "union_view",
 ]

@@ -181,8 +181,8 @@ class FaceChange:
         view = self.builder.build(index, config)
         self.switcher.register_view(view)
         self._selector_map[comm if comm is not None else config.app] = index
-        if self.telemetry.tracing:
-            self.telemetry.emit(
+        if self.telemetry.recording:
+            self.telemetry.record_event(
                 "view_load",
                 cycles=self.machine.cycles,
                 view=index,
@@ -200,8 +200,8 @@ class FaceChange:
         for comm in [c for c, i in self._selector_map.items() if i == index]:
             del self._selector_map[comm]
         view.free()
-        if self.telemetry.tracing:
-            self.telemetry.emit(
+        if self.telemetry.recording:
+            self.telemetry.record_event(
                 "view_unload",
                 cycles=self.machine.cycles,
                 view=index,
@@ -228,8 +228,8 @@ class FaceChange:
             self.builder.extend_for_module(view, name)
             for ept in list(view.installed_epts):
                 view.install(ept)  # map the new frames too
-        if self.telemetry.tracing:
-            self.telemetry.emit(
+        if self.telemetry.recording:
+            self.telemetry.record_event(
                 "module_load",
                 cycles=self.machine.cycles,
                 module=name,

@@ -131,8 +131,8 @@ class RecoveryEngine:
                 if recovered is not None:
                     instant.append(self._symbolize(recovered[0]))
                     self._instant.value += 1
-                    if self.telemetry.tracing:
-                        self.telemetry.emit(
+                    if self.telemetry.recording:
+                        self.telemetry.spans.mark(
                             "instant_recovery",
                             cycles=vcpu.cycles,
                             cpu=vcpu.cpu_id,
@@ -220,9 +220,11 @@ class RecoveryEngine:
         verdict = classify_recovery(event, benign=self.benign_reference)
         self._verdicts.inc(verdict)
         if span is not None:
-            tel.spans.event(
-                span,
+            # the recovery span is this CPU's innermost open span, so
+            # the verdict becomes its child
+            tel.spans.mark(
                 "provenance",
+                cpu=vcpu.cpu_id,
                 cycles=event.cycles,
                 verdict=verdict,
                 pid=event.pid,
@@ -231,18 +233,9 @@ class RecoveryEngine:
                 in_interrupt=event.in_interrupt,
                 unknown_frames=event.has_unknown_frames,
             )
-            span.attrs.update(recovered=event.recovered, bytes=end - start)
-        if tel.tracing:
-            tel.emit(
-                "recovery",
-                cycles=event.cycles,
-                cpu=vcpu.cpu_id,
-                rip=exit_.rip,
+            span.attrs.update(
                 recovered=event.recovered,
-                pid=event.pid,
-                comm=event.comm,
-                view_app=event.view_app,
-                in_interrupt=event.in_interrupt,
+                bytes=end - start,
                 instant=len(instant),
             )
         self.machine.hypervisor.charge(vcpu, RECOVERY_COST_CYCLES)

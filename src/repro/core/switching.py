@@ -109,8 +109,8 @@ class ViewSwitcher:
         index = self.selector(procinfo.comm)
         current = self.current_index[cpu]
         tel = self.telemetry
-        if tel.tracing:
-            tel.emit(
+        if tel.recording:
+            tel.spans.mark(
                 "ctxsw_trap",
                 cycles=vcpu.cycles,
                 cpu=cpu,
@@ -153,8 +153,8 @@ class ViewSwitcher:
             return
         self._resume_traps.value += 1
         tel = self.telemetry
-        if tel.tracing:
-            tel.emit(
+        if tel.recording:
+            tel.spans.mark(
                 "resume_trap",
                 cycles=vcpu.cycles,
                 cpu=cpu,
@@ -170,8 +170,8 @@ class ViewSwitcher:
         previous = self.current_index[cpu]
         if index == previous and self.skip_same_view:
             self._skipped.value += 1
-            if tel.tracing:
-                tel.emit(
+            if tel.recording:
+                tel.spans.mark(
                     "view_skip",
                     cycles=self.machine.vcpus[cpu].cycles,
                     cpu=cpu,
@@ -216,16 +216,6 @@ class ViewSwitcher:
                 span,
                 cycles=vcpu.cycles,
                 to_view=self.current_index[cpu],
-                cost=cost,
-            )
-        if tel.tracing:
-            tel.emit(
-                "view_switch",
-                cycles=vcpu.cycles,
-                cpu=cpu,
-                from_view=previous,
-                to_view=self.current_index[cpu],
-                app=target.config.app if target is not None else "<full>",
                 cost=cost,
             )
 

@@ -870,8 +870,8 @@ class Vcpu:
             # The silent misdecode of a split UD2 stream.
             self.misdecodes.value += 1
             tel = self.telemetry
-            if tel is not None and tel.tracing:
-                tel.emit(
+            if tel is not None and tel.recording:
+                tel.record_event(
                     "misdecode", cycles=self.cycles, cpu=self.cpu_id, rip=self.eip
                 )
         elif op is Op.CLI:

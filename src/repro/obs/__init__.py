@@ -23,8 +23,8 @@ from repro.obs.forensics import (
     attack_trees,
     narrate_tree,
     render_forensics,
+    render_incidents,
     render_journal_narrative,
-    render_legacy_snapshot,
 )
 from repro.obs.live import JobStatus, LiveFleetView, render_service_top
 from repro.obs.metrics import (
@@ -77,8 +77,8 @@ __all__ = [
     "rebuild_bank",
     "rebuild_export",
     "render_forensics",
+    "render_incidents",
     "render_journal_narrative",
-    "render_legacy_snapshot",
     "render_service_top",
     "render_trace",
 ]

@@ -7,20 +7,18 @@ those chains are real trees (parent links recorded at runtime, see
 :mod:`repro.telemetry.spans`); this module renders them as the
 narrative the paper presents in Figures 4/5.
 
-Legacy ``repro trace -o`` snapshots (flat trace rings, no journal) are
-still accepted: they fall back to the ``(cycles, rip)`` correlation
-heuristic from :mod:`repro.analysis.timeline`, clearly labelled as such.
+Given a serve daemon's ``--obs-dir`` archive instead of a journal, the
+narrative is the daemon's operational incidents: every alert-rule
+transition the archive replays (:func:`repro.obs.store.rebuild_alerts`).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Dict, List, Union
 
 from repro.telemetry.journal import (
     JournalData,
-    JournalError,
     SpanNode,
     build_span_trees,
     load_journal,
@@ -157,28 +155,6 @@ def render_journal_narrative(
         )
     sections.append("\n".join(header))
 
-    incidents = [r for r in data.records if r.get("t") == "alert"]
-    if incidents:
-        # the serve daemon's ops journal interleaves alert-rule
-        # transitions with the flight recorder; narrate them as
-        # operational incidents alongside the attack chains
-        lines = [f"== operational incidents ({len(incidents)} transitions) =="]
-        for record in incidents:
-            label = f" ({record['label']})" if record.get("label") else ""
-            value = record.get("value")
-            detail = (
-                f" value={value:g} threshold={record.get('threshold')}"
-                if isinstance(value, (int, float))
-                else ""
-            )
-            lines.append(
-                f"  {record.get('state', '?').upper():<9} "
-                f"{record.get('rule', '?')}{label}{detail}"
-            )
-            if record.get("state") == "firing" and record.get("description"):
-                lines.append(f"            {record['description']}")
-        sections.append("\n".join(lines))
-
     if attacks:
         lines = [f"== captured attacks ({len(attacks)} chains) =="]
         for tree in attacks:
@@ -201,59 +177,38 @@ def render_journal_narrative(
     return "\n\n".join(sections)
 
 
-def render_legacy_snapshot(snap: Dict[str, Any]) -> str:
-    """Fallback for pre-journal ``repro trace -o`` snapshot files.
+def render_incidents(root: Union[str, Path]) -> str:
+    """Narrate the alert transitions archived under an ``--obs-dir``."""
+    from repro.obs.store import read_archive, rebuild_alerts
 
-    No parent links exist in a flat trace dump, so recoveries are
-    listed from the ring with an explicit disclaimer: grouping is the
-    ``(cycles, rip)`` heuristic, not recorded causality.
-    """
-    trace = snap.get("trace", {})
-    events = trace.get("events", [])
-    recoveries = [e for e in events if e.get("kind") == "recovery"]
+    archive = read_archive(root)
+    transitions = rebuild_alerts(archive)
     lines = [
-        "legacy snapshot: no span journal -- correlating by (cycles, rip); "
-        "parent links unavailable",
-        f"trace: {len(events)} events, {trace.get('dropped', 0)} dropped",
+        f"archive: {archive.segments} segments "
+        f"({archive.torn_segments} torn), {archive.sample_count()} samples",
+        f"== operational incidents ({len(transitions)} transitions) ==",
     ]
-    if not recoveries:
-        lines.append("(no recovery events in trace)")
-        return "\n".join(lines)
-    lines.append(f"== recoveries ({len(recoveries)}) ==")
-    for event in recoveries:
-        lines.append(
-            f"[{event.get('cycles', 0):>12}] rip={event.get('rip', 0):#x} "
-            f"recovered={event.get('recovered', '?')} "
-            f"pid={event.get('pid')} comm={event.get('comm')} "
-            f"view={event.get('view_app')}"
+    if not transitions:
+        lines.append("(no alert transitions recorded)")
+    for transition in transitions:
+        label = f" ({transition.label})" if transition.label else ""
+        value = transition.value
+        detail = (
+            f" value={value:g} threshold={transition.threshold}"
+            if isinstance(value, (int, float))
+            else ""
         )
+        lines.append(
+            f"  {transition.state.upper():<9} {transition.rule}{label}{detail}"
+        )
+        if transition.state == "firing" and transition.description:
+            lines.append(f"            {transition.description}")
     return "\n".join(lines)
 
 
 def render_forensics(path: Union[str, Path]) -> str:
-    """Auto-detect journal vs legacy snapshot and render the narrative."""
+    """Render a journal's causal narrative, or an archive's incidents."""
     path = Path(path)
-    try:
-        first = ""
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    first = line.strip()
-                    break
-    except OSError as exc:
-        raise JournalError(f"unreadable file {path}: {exc}") from exc
-    try:
-        probe = json.loads(first) if first else None
-    except ValueError:
-        probe = None
-    if isinstance(probe, dict) and probe.get("t") == "header":
-        return render_journal_narrative(load_journal(path))
-    try:
-        snap = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise JournalError(
-            f"{path} is neither a span journal nor a telemetry snapshot: {exc}"
-        ) from exc
-    if not isinstance(snap, dict):
-        raise JournalError(f"{path}: unexpected JSON payload")
-    return render_legacy_snapshot(snap)
+    if path.is_dir():
+        return render_incidents(path)
+    return render_journal_narrative(load_journal(path))

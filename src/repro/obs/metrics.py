@@ -17,7 +17,7 @@ actually operates on:
 * :class:`AlertRule` / :class:`AlertEngine` -- declarative threshold /
   rate / delta rules evaluated each sample tick, firing and resolving
   as transitions the daemon turns into ``alert`` events,
-  ``serve.alerts{rule:state}`` counters and ops-journal records.
+  ``serve.alerts{rule:state}`` counters and ``--obs-dir`` archive records.
 
 The exposition side (Prometheus text) shares
 :func:`repro.telemetry.export.format_prometheus` with

@@ -60,7 +60,7 @@ from repro.serve.queue import (
     TenantPolicy,
 )
 from repro.serve.webhook import AlertWebhook
-from repro.telemetry import Journal, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.export import snapshot as telemetry_snapshot
 from repro.telemetry.merge import empty_merge, merge_into
 
@@ -157,7 +157,6 @@ class ServeDaemon:
         metrics_addr: Optional[str] = None,
         slo_latency: Optional[float] = None,
         alert_rules: Optional[Iterable[AlertRule]] = None,
-        ops_journal: Optional[str] = None,
         watch_buffer: int = _WATCH_BUFFER,
         obs_dir: Optional[str] = None,
         obs_rotate_bytes: int = DEFAULT_ROTATE_BYTES,
@@ -202,7 +201,7 @@ class ServeDaemon:
         self._events: List[Dict[str, Any]] = []
         self._subscribers: List[EventSink] = []
         self.watch_buffer = watch_buffer
-        # service metrics: recorder, optional HTTP scrape, ops journal
+        # service metrics: recorder, optional HTTP scrape
         if metrics_addr is not None and metrics_interval is None:
             metrics_interval = 1.0  # a scrape endpoint implies sampling
         self.metrics: Optional[MetricsRecorder] = None
@@ -218,8 +217,6 @@ class ServeDaemon:
         self._metrics_thread: Optional[threading.Thread] = None
         self._stop_metrics = threading.Event()
         self._metrics_lock = threading.Lock()
-        self._ops_journal_path = ops_journal
-        self._ops_journal: Optional[Journal] = None
         # persistent observability archive + alert webhook (opened in
         # start() so a constructed-but-never-started daemon touches
         # neither disk nor network)
@@ -310,11 +307,6 @@ class ServeDaemon:
                 target=self._accept_loop, name="serve-accept", daemon=True
             )
             self._server_thread.start()
-        if self._ops_journal_path is not None:
-            self._ops_journal = Journal(
-                path=self._ops_journal_path,
-                meta={"role": "serve-ops", "pid": os.getpid()},
-            )
         if self.metrics is not None:
             if self.metrics_addr is not None:
                 self._start_metrics_http()
@@ -392,8 +384,6 @@ class ServeDaemon:
             "jobs": self.queue.describe()["states"],
         }
         self._emit({"type": "serve-stopped", **summary})
-        if self._ops_journal is not None:
-            self._ops_journal.close()
         if self._webhook is not None:
             self._webhook.stop()
         if self._obs_store is not None:
@@ -864,7 +854,7 @@ class ServeDaemon:
                 "min": self.min_workers,
                 "max": self.max_workers,
             },
-            "serve": telemetry_snapshot(self.telemetry, events=False),
+            "serve": telemetry_snapshot(self.telemetry),
             "jobs_telemetry": lifetime,
         }
 
@@ -936,9 +926,6 @@ class ServeDaemon:
                 f"{transition.rule}:{transition.state}"
             )
             self._emit({"type": "alert", **transition.to_dict()})
-            if self._ops_journal is not None:
-                self._ops_journal.append("alert", **transition.to_dict())
-                self._ops_journal.flush()
             if self._obs_store is not None:
                 try:
                     self._obs_store.append_alert(transition)
@@ -984,7 +971,7 @@ class ServeDaemon:
                 "histograms": copy.deepcopy(self._lifetime["histograms"]),
             }
         return self.metrics.to_prometheus(
-            serve_snapshot=telemetry_snapshot(self.telemetry, events=False),
+            serve_snapshot=telemetry_snapshot(self.telemetry),
             jobs_snapshot=jobs_snapshot,
         )
 

@@ -1,4 +1,4 @@
-"""Structured telemetry: counters, histograms, trace events, exporters.
+"""Structured telemetry: counters, histograms, span journal, exporters.
 
 The shared measurement substrate every layer emits through -- see
 :mod:`repro.telemetry.core` for the primitives and
@@ -10,8 +10,6 @@ from repro.telemetry.core import (
     Histogram,
     LabelledCounter,
     Telemetry,
-    TraceBuffer,
-    TraceEvent,
 )
 from repro.telemetry.export import (
     format_counters,
@@ -46,8 +44,6 @@ __all__ = [
     "SpanNode",
     "SpanRecorder",
     "Telemetry",
-    "TraceBuffer",
-    "TraceEvent",
     "build_span_trees",
     "empty_merge",
     "format_counters",

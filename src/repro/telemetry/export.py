@@ -3,13 +3,14 @@
 Three render targets:
 
 * :func:`snapshot` / :func:`to_json` -- a machine-readable dump of every
-  counter, histogram and trace event (the ``repro.cli trace -o`` file
-  format, also what ``BENCH_telemetry.json`` records);
+  counter and histogram (the ``repro.cli trace -o`` file format);
 * :func:`format_prometheus` -- Prometheus text exposition over a
   snapshot dict (shared by the serve daemon's scrape surface and
   ``repro report --format prom``);
 * :func:`format_counters` / :func:`format_timeline` -- the terminal
-  rendering used by the ``trace`` CLI verb and the evaluation report.
+  rendering used by the ``trace`` CLI verb and the evaluation report;
+  timeline rows are journal ``event``-shaped dicts (``kind``,
+  ``cycles``, ``cpu``, ``fields``).
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ import json
 import re
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.telemetry.core import Telemetry, TraceEvent
+from repro.telemetry.core import Telemetry
 
 _PROM_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def snapshot(telemetry: Telemetry, events: bool = True) -> Dict[str, Any]:
-    """A JSON-able dump of the registry (and, optionally, the trace)."""
+def snapshot(telemetry: Telemetry) -> Dict[str, Any]:
+    """A JSON-able dump of the registry (plus journal loss accounting)."""
     data: Dict[str, Any] = {
         "counters": {
             name: counter.value
@@ -46,20 +47,6 @@ def snapshot(telemetry: Telemetry, events: bool = True) -> Dict[str, Any]:
             for name, hist in sorted(telemetry.histograms.items())
         },
     }
-    if events:
-        data["trace"] = {
-            "dropped": telemetry.trace.dropped,
-            "events": [
-                {
-                    "seq": e.seq,
-                    "cycles": e.cycles,
-                    "cpu": e.cpu,
-                    "kind": e.kind,
-                    **e.fields,
-                }
-                for e in telemetry.trace
-            ],
-        }
     if telemetry.journal is not None:
         data["journal"] = {
             "written": telemetry.journal.seq,
@@ -68,8 +55,8 @@ def snapshot(telemetry: Telemetry, events: bool = True) -> Dict[str, Any]:
     return data
 
 
-def to_json(telemetry: Telemetry, events: bool = True, indent: int = 2) -> str:
-    return json.dumps(snapshot(telemetry, events=events), indent=indent)
+def to_json(telemetry: Telemetry, indent: int = 2) -> str:
+    return json.dumps(snapshot(telemetry), indent=indent)
 
 
 def prometheus_name(name: str) -> str:
@@ -142,21 +129,30 @@ def format_counters(telemetry: Telemetry) -> str:
     return "\n".join(lines)
 
 
+def _timeline_row(entry: Dict[str, Any]) -> str:
+    fields = entry.get("fields") or {}
+    detail = " ".join(f"{k}={v}" for k, v in fields.items())
+    return (
+        f"[{entry.get('cycles', 0):>12}] cpu{entry.get('cpu', 0)} "
+        f"{entry.get('kind', '?'):<22} {detail}"
+    )
+
+
 def format_timeline(
-    events: Iterable[TraceEvent],
+    entries: Iterable[Dict[str, Any]],
     limit: Optional[int] = None,
     kinds: Optional[Iterable[str]] = None,
 ) -> str:
-    """Render trace events as a chronological timeline.
+    """Render timeline entries as a chronological timeline.
 
     An event-free run renders an explicit marker instead of an empty
     string, so ``repro trace`` output is never silently blank.
     """
     wanted = set(kinds) if kinds is not None else None
     rows = [
-        e.format()
-        for e in events
-        if wanted is None or e.kind in wanted
+        _timeline_row(e)
+        for e in entries
+        if wanted is None or e.get("kind") in wanted
     ]
     if not rows:
         return "(no events recorded)"

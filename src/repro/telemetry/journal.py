@@ -1,8 +1,7 @@
 """Forensic flight recorder: an append-only, schema-versioned JSONL journal.
 
-The trace ring (PR 1) is bounded and volatile -- fine for live
-inspection, useless as evidence.  The journal persists what the monitor
-itself did, in order, with explicit loss accounting:
+The journal is the one record stream of a recorded guest: it persists
+what the monitor itself did, in order, with explicit loss accounting:
 
 * line 1 is an unnumbered ``header`` record carrying the schema version
   and free-form run metadata;
@@ -16,10 +15,12 @@ itself did, in order, with explicit loss accounting:
   parent) evicts oldest-first and counts every eviction in ``dropped``.
 
 Record kinds written today: ``span`` (closed causal spans, see
-:mod:`repro.telemetry.spans`) and ``event`` (trace-ring events, tagged
-with the innermost open span so the loader can attach them to the
-tree).  Unknown kinds are preserved round-trip; the schema version only
-changes when existing fields change meaning.
+:mod:`repro.telemetry.spans`) and ``event`` (facts no span records --
+view load/unload, module load, misdecode -- tagged with the innermost
+open span, if any, so the loader can attach them to the tree).  Each
+fact is recorded once: an ``event`` never repeats a span's kind.
+Unknown kinds are preserved round-trip; the schema version only changes
+when existing fields change meaning.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class Journal:
         """Append one body record; returns its seq number.
 
         ``kind`` is positional-only so payloads may carry their own
-        ``kind`` field (trace events do).
+        ``kind`` field (event records do).
         """
         if self.closed:
             return self.seq
@@ -262,7 +263,7 @@ def load_journal(path: Union[str, Path]) -> JournalData:
 
 @dataclass
 class SpanNode:
-    """A reconstructed span with its children and attached trace events."""
+    """A reconstructed span with its children and attached events."""
 
     record: Dict[str, Any]
     children: List["SpanNode"] = field(default_factory=list)
@@ -310,7 +311,7 @@ def build_span_trees(records: Iterable[Dict[str, Any]]) -> List[SpanNode]:
     Spans are journaled on *close*, so children precede parents in file
     order; linkage uses the recorded ids, not ordering.  A span whose
     parent is absent (dropped, or still open at the end of a truncated
-    run) becomes a root.  Trace events tagged with a span id attach to
+    run) becomes a root.  Event records tagged with a span id attach to
     that span's node.
     """
     nodes: Dict[int, SpanNode] = {}

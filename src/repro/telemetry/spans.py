@@ -1,19 +1,19 @@
-"""Causal spans: the tree-structured sibling of the flat trace ring.
+"""Causal spans: every guest fact the monitor records, as a tree.
 
-PR 1's :class:`~repro.telemetry.core.TraceBuffer` records *what*
-happened; it cannot record *why*.  A VM exit at a UD2 fill, the
-backtrace walked from it, the provenance verdict and the code fill that
-resolves it are one causal chain (paper §III-B3, §III-C), but ring
-events only correlate heuristically by ``(cycles, rip)`` after the
-fact.  Spans make the chain explicit:
+A VM exit at a UD2 fill, the backtrace walked from it, the provenance
+verdict and the code fill that resolves it are one causal chain (paper
+§III-B3, §III-C).  Spans make the chain explicit:
 
 * a :class:`Span` has an id, a parent id, a kind, start/end virtual
   cycles and free-form attributes;
 * the :class:`SpanRecorder` keeps one stack of open spans **per vCPU**,
   so a span opened while another is open becomes its child
   automatically -- the exit-stage pipeline opens the root ``vmexit``
-  span and everything the handler does (view switch, backtrace,
-  provenance verdict, recovery fill) nests under it;
+  span and everything the handler does (context-switch trap, view
+  switch, backtrace, provenance verdict, recovery fill) nests under it;
+* a fact observed at one instant inside an open span (a context-switch
+  trap's comm/pid/view, a skipped switch) is a zero-duration child
+  (:meth:`SpanRecorder.mark`);
 * closed spans are appended to the attached
   :class:`~repro.telemetry.journal.Journal` (the forensic flight
   recorder), from which :func:`~repro.telemetry.journal.build_span_trees`
@@ -131,15 +131,14 @@ class SpanRecorder:
             self.journal.append("span", **span.to_record())
         return span
 
-    def event(self, span: Span, kind: str, cycles: int = 0, **attrs: Any) -> Span:
-        """A zero-duration child span (e.g. a provenance verdict)."""
-        child = self.open(kind, cpu=span.cpu, cycles=cycles,
-                          parent=span.span_id, **attrs)
-        # remove from the stack immediately: it must not adopt children
-        return self.close(child, cycles=cycles)
+    def mark(self, kind: str, cpu: int = 0, cycles: int = 0, **attrs: Any) -> Span:
+        """A zero-duration child of the CPU's innermost open span (e.g. a
+        provenance verdict); closed at once, so it never adopts children."""
+        return self.close(self.open(kind, cpu=cpu, cycles=cycles, **attrs),
+                          cycles=cycles)
 
     def current(self, cpu: int = 0) -> Optional[Span]:
-        """The CPU's innermost open span (trace events link to it)."""
+        """The CPU's innermost open span (journal events link to it)."""
         stack = self._open.get(cpu)
         return stack[-1] if stack else None
 

@@ -128,10 +128,35 @@ def test_trace_with_no_events_exits_zero(monkeypatch, capsys):
     # succeed, not print a blank timeline (or worse, crash)
     from repro.telemetry.core import Telemetry
 
-    monkeypatch.setattr(Telemetry, "enable_tracing", lambda self: None)
+    monkeypatch.setattr(Telemetry, "attach_journal", lambda self, j: j)
     assert main(["--scale", "2", "trace", "top"]) == 0
     captured = capsys.readouterr().out
     assert "(no events recorded)" in captured
+    assert "(no recoveries)" in captured
+
+
+def test_trace_attack_hitting_the_cycle_cap_fails(monkeypatch, capsys):
+    # regression: an infected run that never finishes must exit non-zero
+    # and say why, not render a report of a silently capped run
+    import repro.cli
+    from repro.apps.base import WorkloadHandle
+    from repro.malware.base import Attack
+
+    class NeverFinishes(WorkloadHandle):
+        finished = False
+
+    real_launch = Attack.launch
+
+    def launch(self, machine, *args, **kwargs):
+        handle = real_launch(self, machine, *args, **kwargs)
+        return NeverFinishes(task=handle.task, machine=handle.machine)
+
+    monkeypatch.setattr(Attack, "launch", launch)
+    monkeypatch.setattr(repro.cli, "_TRACE_ATTACK_CAP", 5_000_000)
+    assert main(["--scale", "2", "trace", "top", "--attack", "Injectso"]) == 1
+    captured = capsys.readouterr()
+    assert "cycle cap (5,000,000 cycles)" in captured.err
+    assert "== recovery provenance" in captured.out
 
 
 def test_format_timeline_empty_is_marked():
@@ -165,18 +190,6 @@ def test_forensics_rejects_garbage(tmp_path, capsys):
     path.write_text("this is not a journal\n")
     assert main(["forensics", str(path)]) == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_forensics_legacy_snapshot_fallback(tmp_path, capsys):
-    snap = tmp_path / "telemetry.json"
-    assert main(
-        ["--scale", "2", "trace", "top", "-o", str(snap)]
-    ) == 0
-    capsys.readouterr()
-    assert main(["forensics", str(snap)]) == 0
-    captured = capsys.readouterr().out
-    assert "legacy" in captured
-    assert "(cycles, rip)" in captured
 
 
 def test_flame_command(tmp_path, capsys):

@@ -1,71 +1,7 @@
-"""View library and hidden-code scanner tests."""
+"""Hidden-code scanner tests."""
 
-import pytest
-
-from repro.core.facechange import FaceChange
-from repro.core.kernel_view import KernelViewConfig
-from repro.core.library import ViewLibrary
-from repro.core.rangelist import BASE_KERNEL, KernelProfile
 from repro.core.scanner import HiddenCodeScanner
-from repro.guest.machine import boot_machine
-from repro.kernel.runtime import Platform
 from repro.malware.rootkits import KBEAST_SPEC, SEBEK_SPEC
-
-
-def make_config(app, size=256):
-    profile = KernelProfile()
-    profile.add(BASE_KERNEL, 0xC0100000, 0xC0100000 + size)
-    return KernelViewConfig(app=app, profile=profile)
-
-
-class TestViewLibrary:
-    def test_save_load_roundtrip(self, tmp_path):
-        lib = ViewLibrary(tmp_path / "views")
-        config = make_config("apache")
-        path = lib.save(config)
-        assert path.exists()
-        back = lib.load("apache")
-        assert back.app == "apache"
-        assert back.size == config.size
-
-    def test_apps_listing_and_contains(self, tmp_path):
-        lib = ViewLibrary(tmp_path)
-        lib.save(make_config("top"))
-        lib.save(make_config("bash"))
-        assert lib.apps() == ["bash", "top"]
-        assert "top" in lib
-        assert "gzip" not in lib
-        assert len(lib) == 2
-
-    def test_remove(self, tmp_path):
-        lib = ViewLibrary(tmp_path)
-        lib.save(make_config("top"))
-        assert lib.remove("top")
-        assert not lib.remove("top")
-        assert len(lib) == 0
-
-    def test_missing_app_raises(self, tmp_path):
-        with pytest.raises(KeyError):
-            ViewLibrary(tmp_path).load("nothing")
-
-    def test_union_over_library(self, tmp_path):
-        lib = ViewLibrary(tmp_path)
-        lib.save(make_config("a", size=100))
-        b = KernelProfile()
-        b.add(BASE_KERNEL, 0xC0100050, 0xC0100150)
-        lib.save(KernelViewConfig(app="b", profile=b))
-        union = lib.union()
-        assert union.size == 0x150
-
-    def test_load_into_running_facechange(self, tmp_path, app_configs):
-        lib = ViewLibrary(tmp_path)
-        lib.save_all({k: app_configs[k] for k in ("top", "gzip")})
-        machine = boot_machine(platform=Platform.KVM)
-        fc = FaceChange(machine)
-        fc.enable()
-        indices = lib.load_into(fc)
-        assert set(indices) == {"top", "gzip"}
-        assert fc.stats.loaded_views == 2
 
 
 class TestHiddenCodeScanner:

@@ -328,11 +328,11 @@ def test_metrics_sampling_fires_queue_saturation(tmp_path):
         _blocking_executor(release, started),
         max_queue_depth=2,
     )
-    from repro.telemetry import Journal
+    from repro.obs import ObsStore
 
-    # start() normally opens the ops journal; open it by hand since
-    # this test drives the daemon without its threads
-    daemon._ops_journal = Journal(path=str(tmp_path / "ops.journal"))
+    # start() normally opens the --obs-dir archive; open it by hand
+    # since this test drives the daemon without its threads
+    daemon._obs_store = ObsStore(tmp_path / "obs")
     try:
         daemon.submit({"app": "top", "scale": 1})
         assert started.wait(timeout=5.0)
@@ -363,10 +363,10 @@ def test_metrics_sampling_fires_queue_saturation(tmp_path):
     finally:
         release.set()
         daemon.shutdown(timeout=5.0)
-    # the ops journal recorded both transitions for repro forensics
+    # the archive recorded both transitions for repro forensics
     from repro.obs import render_forensics
 
-    narrative = render_forensics(tmp_path / "ops.journal")
+    narrative = render_forensics(tmp_path / "obs")
     assert "operational incidents (2 transitions)" in narrative
     assert "FIRING" in narrative and "RESOLVED" in narrative
     assert "queue-saturation" in narrative

@@ -64,7 +64,7 @@ def test_event_attaches_zero_duration_child():
     rec = SpanRecorder()
     rec.bind(journal)
     span = rec.open("recovery", cycles=5)
-    rec.event(span, "provenance", cycles=7, verdict="benign")
+    rec.mark("provenance", cycles=7, verdict="benign")
     rec.close(span, cycles=9)
     trees = build_span_trees(journal.records())
     assert len(trees) == 1

@@ -1,4 +1,4 @@
-"""Telemetry primitive unit tests: counters, histograms, ring, export."""
+"""Telemetry primitive unit tests: counters, histograms, events, export."""
 
 import json
 
@@ -8,9 +8,8 @@ from repro.telemetry import (
     Counter,
     Histogram,
     LabelledCounter,
+    Journal,
     Telemetry,
-    TraceBuffer,
-    TraceEvent,
     format_counters,
     format_timeline,
     snapshot,
@@ -82,50 +81,49 @@ class TestHistogram:
         assert h.min == 0
 
 
-class TestTraceBuffer:
-    def test_bounded_with_drop_accounting(self):
-        ring = TraceBuffer(capacity=4)
-        for i in range(10):
-            ring.append(TraceEvent(i, i, 0, "k"))
-        assert len(ring) == 4
-        assert ring.dropped == 6
-        assert [e.seq for e in ring] == [6, 7, 8, 9]
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            TraceBuffer(capacity=0)
-
-
 class TestTracing:
-    def test_repro_trace_env_enables_tracing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert Telemetry().tracing is True
-        monkeypatch.delenv("REPRO_TRACE")
-        assert Telemetry().tracing is False
+    """Journal ``event`` records: facts no span encloses."""
 
-    def test_disabled_emits_nothing(self):
+    def test_repro_journal_dir_env_enables_recording(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path))
         tel = Telemetry()
-        tel.emit("x", cycles=1, cpu=0, a=1)
-        assert len(tel.trace) == 0
+        assert tel.recording is True
+        tel.record_event("view_load", cycles=3)
+        tel.detach_journal().close()
+        (path,) = tmp_path.glob("journal-*.jsonl")
+        assert '"kind":"view_load"' in path.read_text()
+        monkeypatch.delenv("REPRO_JOURNAL_DIR")
+        assert Telemetry().recording is False
+
+    def test_disabled_emits_nothing(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOURNAL_DIR", raising=False)
+        tel = Telemetry()
+        assert tel.recording is False
+        assert tel.journal is None
 
     def test_enabled_emits_sequenced_events(self):
         tel = Telemetry()
-        tel.enable_tracing()
-        tel.emit("a", cycles=5, cpu=0, rip=0x10)
-        tel.emit("b", cycles=9, cpu=1)
-        events = tel.events()
-        assert [e.kind for e in events] == ["a", "b"]
-        assert events[0].seq < events[1].seq
-        assert events[0].get("rip") == 0x10
-        assert tel.events("b")[0].cycles == 9
+        journal = tel.attach_journal(Journal())
+        tel.record_event("a", cycles=5, cpu=0, rip=0x10)
+        span = tel.spans.open("vmexit", cpu=1, cycles=7)
+        tel.record_event("b", cycles=9, cpu=1)
+        tel.spans.close(span, cycles=11)
+        events = [r for r in journal.records() if r["t"] == "event"]
+        assert [e["kind"] for e in events] == ["a", "b"]
+        assert events[0]["seq"] < events[1]["seq"]
+        assert events[0]["fields"] == {"rip": 0x10}
+        # an event links to the innermost open span of its CPU
+        assert events[0]["span"] is None
+        assert events[1]["span"] == span.span_id
+        assert events[1]["cycles"] == 9
 
     def test_disable_stops_recording(self):
         tel = Telemetry()
-        tel.enable_tracing()
-        tel.emit("a")
-        tel.disable_tracing()
-        tel.emit("b")
-        assert [e.kind for e in tel.events()] == ["a"]
+        journal = tel.attach_journal(Journal())
+        tel.record_event("a")
+        assert tel.detach_journal() is journal
+        assert tel.recording is False
+        assert [r["kind"] for r in journal.records()] == ["a"]
 
 
 class TestExport:
@@ -134,8 +132,6 @@ class TestExport:
         tel.counter("hits").inc(3)
         tel.labelled_counter("per").inc("x", 2)
         tel.histogram("lat").observe(100)
-        tel.enable_tracing()
-        tel.emit("recovery", cycles=42, cpu=0, rip=0xC0100000)
         return tel
 
     def test_snapshot_roundtrips_through_json(self):
@@ -144,12 +140,17 @@ class TestExport:
         assert data["counters"]["hits"] == 3
         assert data["labelled_counters"]["per"]["x"] == 2
         assert data["histograms"]["lat"]["count"] == 1
-        assert data["trace"]["events"][0]["kind"] == "recovery"
-        assert data["trace"]["events"][0]["cycles"] == 42
 
     def test_snapshot_without_events(self):
+        # guest records live in the span journal, never in a snapshot
         tel = self._populated()
-        assert "trace" not in snapshot(tel, events=False)
+        tel.attach_journal(Journal())
+        tel.record_event("view_load", cycles=42)
+        data = snapshot(tel)
+        assert set(data) == {
+            "counters", "labelled_counters", "histograms", "journal"
+        }
+        assert data["journal"] == {"written": 1, "dropped": 0}
 
     def test_format_counters_skips_zeroes(self):
         tel = self._populated()
@@ -159,7 +160,10 @@ class TestExport:
         assert "silent" not in text
 
     def test_format_timeline_limit(self):
-        events = [TraceEvent(i, i, 0, "k", {"n": i}) for i in range(10)]
+        events = [
+            {"kind": "k", "cycles": i, "cpu": 0, "fields": {"n": i}}
+            for i in range(10)
+        ]
         text = format_timeline(events, limit=3)
         assert "7 earlier events omitted" in text
         assert "n=9" in text
@@ -167,8 +171,8 @@ class TestExport:
 
     def test_format_timeline_kind_filter(self):
         events = [
-            TraceEvent(1, 1, 0, "keep"),
-            TraceEvent(2, 2, 0, "drop"),
+            {"kind": "keep", "cycles": 1, "cpu": 0, "fields": {}},
+            {"kind": "drop", "cycles": 2, "cpu": 0, "fields": {}},
         ]
         text = format_timeline(events, kinds=["keep"])
         assert "keep" in text and "drop" not in text
