@@ -190,7 +190,7 @@ def main() -> int:
               f"{offline_seconds:.2f}s")
 
         print("batch fleet reference run...")
-        report = run_fleet(spec, library, use_processes=False)
+        report = run_fleet(spec, library)
         if report.failed:
             print(f"batch reference had {report.failed} failures")
             return 1

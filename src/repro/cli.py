@@ -568,7 +568,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         report = run_fleet(
             spec,
             library,
-            use_processes=False if args.threads else None,
             on_message=on_message,
             heartbeat_interval=args.heartbeat,
             journal_dir=args.journal_dir,
@@ -1227,11 +1226,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-offline",
         action="store_true",
         help="fail instead of profiling when the library lacks an app",
-    )
-    p.add_argument(
-        "--threads",
-        action="store_true",
-        help="use the in-process thread pool instead of worker processes",
     )
     p.add_argument(
         "--watch",

@@ -14,9 +14,12 @@ scale-out execution substrate:
   versioned), so one profiling run feeds enforcement in every later run;
 * :mod:`repro.fleet.spec` -- the declarative fleet specification:
   (app, workload, malware-injection) jobs with budgets and seeds;
+* :mod:`repro.fleet.jobs` -- the offline phase, and
+  :func:`execute_job`, the one path every job (batch or served) runs
+  and streams through;
 * :mod:`repro.fleet.runner` -- the work-queue scheduler executing jobs
-  across a ``multiprocessing`` pool (threaded fallback), with per-guest
-  budgets, timeouts and crash isolation;
+  in fork-started worker processes, with per-guest budgets, timeouts
+  and crash isolation;
 * :mod:`repro.telemetry.merge` -- registry snapshots merged into one
   fleet-level report (the runner re-exports the result).
 """

@@ -9,6 +9,14 @@ freshly forked clone, loads the library profile (zero re-profiling),
 launches the job's workload (optionally malware-infected) with its
 deterministic seed, and returns scores + telemetry.
 
+:func:`execute_job` is the one place a job runs, for the batch fleet
+and the serve daemon alike.  Both hand it their own message sink:
+while the job runs it streams rate-limited heartbeats and span-journal
+segments there, and it always sends a final heartbeat and segment, so
+a live view ends with the job's true recovery stats whether the job
+finished, was aborted or crashed.  The daemon also passes a control
+check (cancel, tenant budget, wall-clock timeout).
+
 Because clones are bit-identical to freshly booted machines and seeds
 are derived deterministically, a job's virtual-cycle score is the same
 whether it ran in a fleet worker or alone on a dedicated machine --
@@ -31,6 +39,12 @@ from repro.fleet.spec import DEFAULT_SEED, FleetJob
 from repro.guest.config import KVM_PVCLOCK, QEMU_TSC, GuestConfig, resolve_guest
 from repro.guest.machine import Machine, boot_machine
 from repro.telemetry.export import snapshot as telemetry_snapshot
+
+#: Capacity of a streamed job's in-memory journal between segment drains.
+JOB_JOURNAL_CAPACITY = 4096
+
+#: A job stopped for running past its wall-clock ``timeout``.
+TIMEOUT_ERROR = "TimeoutError: job exceeded wall-clock timeout"
 
 
 @dataclass
@@ -79,12 +93,33 @@ class JobResult:
         }
 
 
+def _heartbeat(machine: Machine, name: str) -> Dict[str, Any]:
+    """A heartbeat message: cheap read-only stats of the running guest."""
+    tel = machine.telemetry
+    recoveries = tel.counters.get("recovery.recoveries")
+    verdicts = tel.labelled.get("recovery.verdicts")
+    return {
+        "type": "heartbeat",
+        "job": name,
+        "cycles": machine.cycles,
+        "recoveries": recoveries.value if recoveries is not None else 0,
+        "verdicts": (
+            {str(label): n for label, n in verdicts.values.items()}
+            if verdicts is not None
+            else {}
+        ),
+    }
+
+
 def execute_job(
     machine: Machine,
     job: FleetJob,
     record: ProfileRecord,
     base_seed: int = DEFAULT_SEED,
-    progress: Optional[Callable[[Machine, FaceChange], None]] = None,
+    sink: Optional[Callable[[Dict[str, Any]], None]] = None,
+    control: Optional[Callable[[int], None]] = None,
+    heartbeat: float = 0.5,
+    meta: Optional[Dict[str, Any]] = None,
 ) -> JobResult:
     """Run one fleet job on ``machine`` (a fresh boot or a fork).
 
@@ -93,10 +128,19 @@ def execute_job(
     completion within the job's cycle budget, and reports scores,
     attack evidence and the guest's telemetry snapshot.
 
-    ``progress`` (if given) is invoked between run steps -- the fleet
-    runner's heartbeat hook.  It observes the guest (virtual clock,
-    telemetry) but must not mutate it; the run loop's cadence and the
-    guest's virtual time are identical with or without it.
+    With a ``sink`` the job streams while it runs: the machine records
+    into a bounded journal labelled with ``meta`` (whose ``trace``
+    entry tags root spans), and every ``heartbeat`` wall seconds the
+    sink receives a ``heartbeat`` message (cycles, recoveries,
+    verdicts) and the drained ``journal`` segment.  A final heartbeat
+    and segment are sent however the run ends -- success, abort or
+    crash -- before recording stops.
+
+    ``control`` (if given) is called after every run step with the
+    virtual cycles the job has consumed so far; it stops the job by
+    raising (the serve daemon's cancel, tenant-budget and timeout
+    check).  Neither hook mutates the guest: the run loop's cadence and
+    the guest's virtual time are identical with or without them.
     """
     assert machine.runtime is not None
     if record.guest_digest and record.guest_digest != machine.build_digest:
@@ -107,61 +151,95 @@ def execute_job(
             f"{machine.build_digest[:12]}); profiles do not transfer "
             "across kernel builds"
         )
+    name = job.name or job.identity()
     seed = job.effective_seed(base_seed)
     started = time.perf_counter()
     start_cycles = machine.cycles
-
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(record.config, comm=job.app)
-    # verdict classification uses the app's profiled baseline, so a
-    # library-covered recovery counts as benign, not anomalous
-    fc.recovery.benign_reference = tuple(
-        sorted(set(record.baseline) | set(DEFAULT_BENIGN_RECOVERIES))
-    )
-
-    if job.attack is not None:
-        from repro.malware import ALL_ATTACKS
-
-        attack = next(a for a in ALL_ATTACKS if a.name == job.attack)
-        handle = attack.launch(machine, scale=job.scale, seed=seed)
-    else:
-        handle = launch(
-            machine, job.app, APP_CATALOG[job.app], scale=job.scale, seed=seed
+    journal = None
+    if sink is not None:
+        journal = machine.start_recording(
+            capacity=JOB_JOURNAL_CAPACITY, meta=meta
         )
-    if progress is None:
-        until = lambda: handle.finished  # noqa: E731
-    else:
-        def until() -> bool:
-            progress(machine, fc)
-            return handle.finished
-    machine.run(
-        until=until,
-        max_cycles=start_cycles + job.max_cycles,
-        step_budget=50_000,
-    )
+    last_beat = time.monotonic()
 
-    benign = set(record.baseline) | set(DEFAULT_BENIGN_RECOVERIES)
-    events = fc.log.anomalous(benign=tuple(benign))
-    evidence = sorted({e.function_name for e in events})
-    unknown = any(e.has_unknown_frames for e in fc.log.events)
+    def stream() -> None:
+        sink(_heartbeat(machine, name))
+        records, dropped = journal.drain_segment()
+        if records or dropped:
+            sink(
+                {
+                    "type": "journal",
+                    "job": name,
+                    "records": records,
+                    "dropped": dropped,
+                }
+            )
 
-    result = JobResult(
-        name=job.name or job.identity(),
-        app=job.app,
-        attack=job.attack,
-        ok=handle.finished,
-        seed=seed,
-        cycles=machine.cycles,
-        syscalls=machine.runtime.syscalls_executed,
-        job_cycles=machine.cycles - start_cycles,
-        evidence=evidence,
-        detected=(bool(evidence) or unknown) if job.attack else None,
-        error="" if handle.finished else "cycle budget exhausted before workload finished",
-        wall_seconds=time.perf_counter() - started,
-        telemetry=telemetry_snapshot(machine.telemetry),
-    )
-    return result
+    def until() -> bool:
+        nonlocal last_beat
+        consumed = machine.cycles - start_cycles
+        if control is not None and consumed:  # not before the first step
+            control(consumed)
+        if sink is not None:
+            now = time.monotonic()
+            if now - last_beat >= heartbeat:
+                last_beat = now
+                stream()
+        return handle.finished
+
+    try:
+        fc = FaceChange(machine)
+        fc.enable()
+        fc.load_view(record.config, comm=job.app)
+        # verdict classification uses the app's profiled baseline, so a
+        # library-covered recovery counts as benign, not anomalous
+        fc.recovery.benign_reference = tuple(
+            sorted(set(record.baseline) | set(DEFAULT_BENIGN_RECOVERIES))
+        )
+
+        if job.attack is not None:
+            from repro.malware import ALL_ATTACKS
+
+            attack = next(a for a in ALL_ATTACKS if a.name == job.attack)
+            handle = attack.launch(machine, scale=job.scale, seed=seed)
+        else:
+            handle = launch(
+                machine, job.app, APP_CATALOG[job.app], scale=job.scale, seed=seed
+            )
+        machine.run(
+            until=until,
+            max_cycles=start_cycles + job.max_cycles,
+            step_budget=50_000,
+        )
+
+        benign = set(record.baseline) | set(DEFAULT_BENIGN_RECOVERIES)
+        events = fc.log.anomalous(benign=tuple(benign))
+        evidence = sorted({e.function_name for e in events})
+        unknown = any(e.has_unknown_frames for e in fc.log.events)
+
+        return JobResult(
+            name=name,
+            app=job.app,
+            attack=job.attack,
+            ok=handle.finished,
+            seed=seed,
+            cycles=machine.cycles,
+            syscalls=machine.runtime.syscalls_executed,
+            job_cycles=machine.cycles - start_cycles,
+            evidence=evidence,
+            detected=(bool(evidence) or unknown) if job.attack else None,
+            error=(
+                ""
+                if handle.finished
+                else "cycle budget exhausted before workload finished"
+            ),
+            wall_seconds=time.perf_counter() - started,
+            telemetry=telemetry_snapshot(machine.telemetry),
+        )
+    finally:
+        if sink is not None:
+            stream()
+            machine.stop_recording()
 
 
 def run_job_on_fresh_machine(

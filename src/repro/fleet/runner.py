@@ -1,192 +1,56 @@
 """Fleet runner: a work-queue scheduler over snapshot-forked guests.
 
-The parent process boots **one** machine, captures a
+The parent process boots **one** machine per guest variant, captures a
 :class:`~repro.fleet.snapshot.MachineSnapshot`, and loads every needed
-profile from the library.  Only then does it create the worker pool --
-on POSIX the pool uses the ``fork`` start method, so workers inherit
-the snapshot, the warm assembler caches and the loaded profile records
-through the copied address space with **zero pickling and zero
-re-boots**.  Each job then costs a worker one in-memory CoW fork plus
-the workload itself.
+profile from the library.  Only then does it fork its worker
+processes -- ``spec.workers`` of them, for every worker count -- which
+inherit the snapshots, the warm assembler caches and the loaded
+profile records through the copied address space with **zero pickling
+and zero re-boots**.  Each job then costs a worker one in-memory CoW
+machine fork plus the workload itself; a worker runs job after job
+until none are left.
 
 Isolation properties:
 
-* a job that raises inside a worker returns a failure
+* a job that raises inside its worker returns a failure
   :class:`JobResult` -- it cannot take the fleet down;
-* each job has a wall-clock timeout; a stuck guest marks its job
-  failed and the fleet carries on;
+* each job has a wall-clock timeout, counted from its own start; a
+  stuck worker is killed, its job marked failed, a fresh worker forked
+  for the jobs still waiting, and the fleet carries on;
+* every worker talks to the parent over a private pipe, so killing one
+  cannot corrupt another's messages;
 * guests never share mutable state -- every clone has private frames
   (CoW) and a private telemetry registry, merged only after the fact.
 
-Platforms without ``fork`` (or ``workers=1``) degrade gracefully to an
-in-process threaded pool / serial loop with identical semantics --
-results are bit-identical in every mode by construction.
+The job itself runs through :func:`repro.fleet.jobs.execute_job`, the
+same path the serve daemon uses; with a watcher or a journal directory
+configured it streams ``heartbeat`` / ``journal`` messages between the
+worker's own ``start`` and ``done``.  Platforms without ``fork`` fall
+back to running the jobs one by one in this process (no timeout
+there); results are bit-identical either way.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import queue as queue_mod
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.fleet.jobs import JobResult, execute_job
+from repro.fleet.jobs import TIMEOUT_ERROR, JobResult, execute_job
 from repro.fleet.library import ProfileLibrary, ProfileRecord
 from repro.fleet.snapshot import MachineSnapshot
 from repro.fleet.spec import FleetJob, FleetSpec
 from repro.guest.config import GuestConfig
 from repro.guest.machine import boot_machine
-from repro.telemetry.journal import JOURNAL_SCHEMA
+from repro.telemetry.journal import TraceJournalWriter
 from repro.telemetry.merge import merge_snapshots
 
-#: Worker state inherited through ``fork`` (or shared with threads).
-#: Populated in the parent *before* the pool exists; never pickled.
-_WORKER: Dict[str, Any] = {}
-
-#: Capacity of each worker's in-memory journal between segment drains.
-_WORKER_JOURNAL_CAPACITY = 4096
-
-
-def _configure_workers(
-    snapshots: Dict[str, MachineSnapshot],
-    records: Dict[Any, ProfileRecord],
-    base_seed: int,
-    bus: Optional[Any] = None,
-    heartbeat_interval: float = 0.5,
-) -> None:
-    #: one snapshot per guest variant, keyed by full config digest
-    _WORKER["snapshots"] = snapshots
-    #: profile records keyed by (app, guest build digest)
-    _WORKER["records"] = records
-    _WORKER["seed"] = base_seed
-    _WORKER["bus"] = bus
-    _WORKER["heartbeat"] = heartbeat_interval
-
-
-def _observe(machine) -> Dict[str, Any]:
-    """Cheap read-only stats for a heartbeat message."""
-    tel = machine.telemetry
-    recoveries = tel.counters.get("recovery.recoveries")
-    verdicts = tel.labelled.get("recovery.verdicts")
-    return {
-        "cycles": machine.cycles,
-        "recoveries": recoveries.value if recoveries is not None else 0,
-        "verdicts": (
-            {str(label): n for label, n in verdicts.values.items()}
-            if verdicts is not None
-            else {}
-        ),
-    }
-
-
-def _run_job(job_data: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool entry point: fork a clone, run the job, ship the result.
-
-    Takes and returns plain dicts so only small JSON-able payloads
-    cross the process boundary.  Any exception -- a crashed guest, a
-    broken driver -- is converted into a failure result here, inside
-    the worker, so one bad job never poisons the pool.
-
-    With a bus configured the worker also streams ``start`` /
-    ``heartbeat`` / ``journal`` / ``done`` messages while the job runs
-    (wall-clock rate-limited; the guest's virtual time is untouched).
-    """
-    job = FleetJob(**job_data)
-    name = job.name or job.identity()
-    bus = _WORKER.get("bus")
-    journal = None
-    progress = None
-    try:
-        guest = job.guest_config()
-        digest = guest.digest()
-        clone = _WORKER["snapshots"][digest].fork(expect_digest=digest)
-        record = _WORKER["records"][(job.app, guest.build_digest())]
-        if bus is not None:
-            bus.put({"type": "start", "job": name, "app": job.app})
-            journal = clone.start_recording(capacity=_WORKER_JOURNAL_CAPACITY)
-            interval = _WORKER.get("heartbeat", 0.5)
-            last_beat = [time.monotonic()]
-
-            def progress(machine, fc) -> None:
-                now = time.monotonic()
-                if now - last_beat[0] < interval:
-                    return
-                last_beat[0] = now
-                bus.put({"type": "heartbeat", "job": name, **_observe(machine)})
-                records_seg, dropped = journal.drain_segment()
-                if records_seg or dropped:
-                    bus.put(
-                        {
-                            "type": "journal",
-                            "job": name,
-                            "records": records_seg,
-                            "dropped": dropped,
-                        }
-                    )
-
-        if progress is not None:
-            result = execute_job(
-                clone, job, record,
-                base_seed=_WORKER["seed"], progress=progress,
-            )
-        else:
-            result = execute_job(clone, job, record, base_seed=_WORKER["seed"])
-        if bus is not None:
-            records_seg, dropped = journal.drain_segment()
-            if records_seg or dropped:
-                bus.put(
-                    {
-                        "type": "journal",
-                        "job": name,
-                        "records": records_seg,
-                        "dropped": dropped,
-                    }
-                )
-            bus.put(
-                {
-                    "type": "done",
-                    "job": name,
-                    "ok": result.ok,
-                    "error": result.error,
-                    **_observe(clone),
-                }
-            )
-    except Exception as exc:  # noqa: BLE001 - crash isolation boundary
-        result = JobResult(
-            name=name,
-            app=job.app,
-            attack=job.attack,
-            ok=False,
-            seed=job.effective_seed(_WORKER.get("seed", 0)),
-            error=f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=4)}",
-        )
-        if bus is not None:
-            if journal is not None:
-                records_seg, dropped = journal.drain_segment()
-                if records_seg or dropped:
-                    bus.put(
-                        {
-                            "type": "journal",
-                            "job": name,
-                            "records": records_seg,
-                            "dropped": dropped,
-                        }
-                    )
-            bus.put(
-                {
-                    "type": "done",
-                    "job": name,
-                    "ok": False,
-                    "error": result.error,
-                }
-            )
-    data = result.to_dict()
-    data["telemetry"] = result.telemetry
-    return data
+Message = Dict[str, Any]
 
 
 @dataclass
@@ -276,29 +140,23 @@ class FleetRunner:
         spec: FleetSpec,
         library: ProfileLibrary,
         snapshot: Optional[MachineSnapshot] = None,
-        use_processes: Optional[bool] = None,
-        on_message: Optional[Callable[[Dict[str, Any]], None]] = None,
+        on_message: Optional[Callable[[Message], None]] = None,
         heartbeat_interval: float = 0.5,
         journal_dir: Optional[Any] = None,
     ) -> None:
         self.spec = spec
         self.library = library
         self.snapshot = snapshot
-        if use_processes is None:
-            use_processes = (
-                spec.workers > 1
-                and "fork" in multiprocessing.get_all_start_methods()
-            )
-        self.use_processes = use_processes
         #: parent-side sink for live worker messages (watch mode)
         self.on_message = on_message
         self.heartbeat_interval = heartbeat_interval
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
-        self._bus: Optional[Any] = None
-        self._job_started: Dict[str, float] = {}
-        #: journal segments collected per job (journal_dir mode)
-        self._segments: Dict[str, List[Dict[str, Any]]] = {}
-        self._segment_drops: Dict[str, int] = {}
+        #: inherited by forked workers: one snapshot per guest digest and
+        #: profile records keyed by (app, guest build digest)
+        self._snapshots: Dict[str, MachineSnapshot] = {}
+        self._records: Dict[Any, ProfileRecord] = {}
+        #: per-job journal files being reassembled (journal_dir mode)
+        self._journals: Dict[str, TraceJournalWriter] = {}
 
     def _guest_configs(self) -> Dict[str, GuestConfig]:
         """Distinct guest variants in the spec, keyed by full digest."""
@@ -320,12 +178,12 @@ class FleetRunner:
 
     @property
     def streaming(self) -> bool:
-        """True when workers should stream live messages to the parent."""
+        """True when jobs should stream live messages to the parent."""
         return self.on_message is not None or self.journal_dir is not None
 
     def run(self) -> FleetReport:
         started = time.perf_counter()
-        records = self._load_records()
+        self._records = self._load_records()
         configs = self._guest_configs()
         # one snapshot per guest variant: booted once, forked many times
         snapshots: Dict[str, MachineSnapshot] = {}
@@ -336,81 +194,33 @@ class FleetRunner:
                 snapshots[digest] = boot_machine(config=config).snapshot()
         if self.snapshot is None and len(configs) == 1:
             self.snapshot = next(iter(snapshots.values()))
-        forked_before = {
-            digest: snap.fork_count for digest, snap in snapshots.items()
-        }
-        bus = None
-        if self.streaming:
-            # created before the pool so fork-started workers inherit it
-            if self.use_processes and self.spec.workers > 1:
-                bus = multiprocessing.get_context("fork").Queue()
-            else:
-                bus = queue_mod.Queue()
-        self._bus = bus
-        # workers inherit this through fork() / share it with threads
-        _configure_workers(
-            snapshots,
-            records,
-            self.spec.seed,
-            bus=bus,
-            heartbeat_interval=self.heartbeat_interval,
-        )
-        job_dicts = [
-            {
-                "app": job.app,
-                "scale": job.scale,
-                "attack": job.attack,
-                "seed": job.seed,
-                "max_cycles": job.max_cycles,
-                "timeout": job.timeout,
-                "guest": job.guest.to_dict() if job.guest is not None else None,
-                "name": job.name,
-            }
-            for job in self.spec.jobs
-        ]
-        if self.spec.workers == 1:
-            mode = "serial"
-            results = []
-            for d in job_dicts:
-                results.append(_run_job(d))
-                self._drain_bus()
-        elif self.use_processes:
+        self._snapshots = snapshots
+        if "fork" in multiprocessing.get_all_start_methods():
             mode = "processes"
-            results = self._run_pool(
-                multiprocessing.get_context("fork").Pool, job_dicts
-            )
+            results = self._run_processes()
         else:
-            mode = "threads"
-            from multiprocessing.pool import ThreadPool
-
-            results = self._run_pool(ThreadPool, job_dicts)
-        self._drain_bus()
-        journal_paths = self._write_journals()
+            mode = "serial"
+            results = [self._run_job(job, self._dispatch) for job in self.spec.jobs]
+        journal_paths = {}
+        for name, writer in sorted(self._journals.items()):
+            writer.close()
+            journal_paths[name] = str(writer.path)
         telemetry = merge_snapshots(
-            [r.get("telemetry", {}) for r in results if r.get("telemetry")],
-            sources=[r["name"] for r in results if r.get("telemetry")],
+            [r["telemetry"] for r in results if r.get("telemetry")]
         )
         variant_jobs: Dict[str, int] = {}
         for job in self.spec.jobs:
             digest = job.guest_config().digest()
             variant_jobs[digest] = variant_jobs.get(digest, 0) + 1
-        report = FleetReport(
+        return FleetReport(
             spec_name=self.spec.name,
             workers=self.spec.workers,
             mode=mode,
             results=results,
             telemetry=telemetry,
             wall_seconds=time.perf_counter() - started,
-            # under processes the forks happen in worker address spaces;
             # a job that shipped telemetry necessarily ran on a clone
-            forked=(
-                sum(
-                    snap.fork_count - forked_before[digest]
-                    for digest, snap in snapshots.items()
-                )
-                if mode != "processes"
-                else sum(1 for r in results if r.get("telemetry"))
-            ),
+            forked=sum(1 for r in results if r.get("telemetry")),
             base_frames=sum(snap.frame_count for snap in snapshots.values()),
             variants={
                 digest[:12]: {
@@ -421,155 +231,162 @@ class FleetRunner:
             },
             journal_paths=journal_paths,
         )
-        return report
 
-    # -- live message plumbing ---------------------------------------------------
+    # -- one job ------------------------------------------------------------------
 
-    def _dispatch(self, message: Dict[str, Any]) -> None:
-        if message.get("type") == "start":
-            self._job_started[message.get("job", "?")] = time.monotonic()
-        if self.journal_dir is not None and message.get("type") == "journal":
-            name = message.get("job", "?")
-            self._segments.setdefault(name, []).extend(
-                message.get("records", [])
+    def _run_job(self, job: FleetJob, send: Callable[[Message], None]) -> Message:
+        """Fork a clone, run ``job`` on it, and return the result dict.
+
+        ``send`` carries the job's ``start`` / ``done`` messages (and,
+        when streaming, everything :func:`execute_job` streams).  Any
+        exception -- a crashed guest, a broken driver -- becomes a
+        failure result here, so one bad job never takes the fleet down.
+        """
+        name = job.name or job.identity()
+        send({"type": "start", "job": name, "app": job.app})
+        try:
+            guest = job.guest_config()
+            digest = guest.digest()
+            clone = self._snapshots[digest].fork(expect_digest=digest)
+            record = self._records[(job.app, guest.build_digest())]
+            result = execute_job(
+                clone, job, record,
+                base_seed=self.spec.seed,
+                sink=send if self.streaming else None,
+                heartbeat=self.heartbeat_interval,
             )
-            self._segment_drops[name] = self._segment_drops.get(
-                name, 0
-            ) + message.get("dropped", 0)
+        except Exception as exc:  # noqa: BLE001 - crash isolation boundary
+            result = JobResult(
+                name=name,
+                app=job.app,
+                attack=job.attack,
+                ok=False,
+                seed=job.effective_seed(self.spec.seed),
+                error=(
+                    f"{type(exc).__name__}: {exc}\n"
+                    f"{traceback.format_exc(limit=4)}"
+                ),
+            )
+        send({"type": "done", "job": name, "ok": result.ok, "error": result.error})
+        data = result.to_dict()
+        data["telemetry"] = result.telemetry
+        return data
+
+    def _worker(self, conn: Any) -> None:
+        """Worker-process loop: run each job index received until ``None``.
+
+        Jobs arrive as indexes into ``spec.jobs``, which the worker
+        inherited through ``fork``; messages and the result go back over
+        the same private pipe.
+        """
+        for index in iter(conn.recv, None):
+            job = self.spec.jobs[index]
+            conn.send({"type": "result", "data": self._run_job(job, conn.send)})
+
+    def _fail(self, job: FleetJob, error: str) -> Message:
+        """Parent-side failure for a job whose worker gave no result."""
+        name = job.name or job.identity()
+        self._dispatch({"type": "done", "job": name, "ok": False, "error": error})
+        return JobResult(
+            name=name, app=job.app, attack=job.attack, ok=False, error=error
+        ).to_dict()
+
+    # -- scheduling -----------------------------------------------------------------
+
+    def _run_processes(self) -> List[Message]:
+        """Run the jobs on up to ``spec.workers`` forked worker processes.
+
+        One poll loop hands each idle worker the next job, relays worker
+        messages as they arrive, collects results, and kills any worker
+        whose job has run past its ``timeout`` (counted from that job's
+        own start); a replacement is forked while jobs remain.
+        """
+        context = multiprocessing.get_context("fork")
+        pending = list(range(len(self.spec.jobs)))
+        results: List[Optional[Message]] = [None] * len(pending)
+        #: parent end of each busy worker's pipe -> (process, job index, start)
+        busy: Dict[Any, Any] = {}
+
+        def assign(conn: Any, process: Any) -> None:
+            index = pending.pop(0)
+            conn.send(index)
+            busy[conn] = (process, index, time.monotonic())
+
+        try:
+            while pending or busy:
+                while pending and len(busy) < self.spec.workers:
+                    conn, child_conn = context.Pipe()
+                    # nothing buffered may be inherited and flushed twice
+                    sys.stdout.flush()
+                    sys.stderr.flush()
+                    process = context.Process(
+                        target=self._worker, args=(child_conn,), daemon=True
+                    )
+                    process.start()
+                    child_conn.close()
+                    assign(conn, process)
+                for conn in wait(list(busy), timeout=0.05):
+                    process, index, _ = busy[conn]
+                    try:
+                        message = conn.recv()
+                    except (EOFError, OSError):
+                        message = None
+                    if message is not None and message["type"] != "result":
+                        self._dispatch(message)
+                        continue
+                    del busy[conn]
+                    if message is not None:
+                        results[index] = message["data"]
+                        if pending:
+                            assign(conn, process)
+                            continue
+                        conn.send(None)  # no work left: the worker exits
+                    process.join()
+                    conn.close()
+                    if message is None:
+                        results[index] = self._fail(
+                            self.spec.jobs[index],
+                            f"worker exited with code {process.exitcode} "
+                            "before returning a result",
+                        )
+                now = time.monotonic()
+                for conn, (process, index, began) in list(busy.items()):
+                    job = self.spec.jobs[index]
+                    if now - began > job.timeout:
+                        del busy[conn]
+                        process.kill()
+                        process.join()
+                        conn.close()
+                        results[index] = self._fail(job, TIMEOUT_ERROR)
+        finally:
+            for conn, (process, _, _) in busy.items():
+                process.kill()
+                process.join()
+                conn.close()
+        return results
+
+    # -- live message plumbing ------------------------------------------------------
+
+    def _dispatch(self, message: Message) -> None:
+        if self.journal_dir is not None and message["type"] == "journal":
+            name = message["job"]
+            writer = self._journals.get(name)
+            if writer is None:
+                self.journal_dir.mkdir(parents=True, exist_ok=True)
+                writer = self._journals[name] = TraceJournalWriter(
+                    self.journal_dir / f"{name.replace('/', '_')}.jsonl",
+                    meta={"job": name, "spec": self.spec.name},
+                )
+            writer.extend(message["records"], message["dropped"])
         if self.on_message is not None:
             self.on_message(message)
-
-    def _drain_bus(self) -> None:
-        bus = self._bus
-        if bus is None:
-            return
-        while True:
-            try:
-                message = bus.get_nowait()
-            except queue_mod.Empty:
-                return
-            self._dispatch(message)
-
-    def _write_journals(self) -> Dict[str, str]:
-        """Reassemble streamed segments into per-job journal files.
-
-        The files parse with :func:`repro.telemetry.journal.load_journal`:
-        seqs come from the workers' journals and any capacity evictions
-        are accounted in the footer, so completeness checks still hold.
-        """
-        if self.journal_dir is None:
-            return {}
-        self.journal_dir.mkdir(parents=True, exist_ok=True)
-        paths: Dict[str, str] = {}
-        for name, records in sorted(self._segments.items()):
-            path = self.journal_dir / f"{name.replace('/', '_')}.jsonl"
-            dropped = self._segment_drops.get(name, 0)
-            last_seq = records[-1]["seq"] if records else 0
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "t": "header",
-                            "schema": JOURNAL_SCHEMA,
-                            "meta": {"job": name, "spec": self.spec.name},
-                        },
-                        separators=(",", ":"),
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                for record in records:
-                    fh.write(
-                        json.dumps(record, separators=(",", ":"), sort_keys=True)
-                        + "\n"
-                    )
-                fh.write(
-                    json.dumps(
-                        {"t": "footer", "records": last_seq, "dropped": dropped},
-                        separators=(",", ":"),
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            paths[name] = str(path)
-        return paths
-
-    def _run_pool(self, pool_factory, job_dicts: List[Dict[str, Any]]):
-        results: List[Optional[Dict[str, Any]]] = [None] * len(job_dicts)
-        pool = pool_factory(self.spec.workers)
-        try:
-            pending = [
-                (i, d, pool.apply_async(_run_job, (d,)))
-                for i, d in enumerate(job_dicts)
-            ]
-            if self._bus is not None:
-                self._poll_pool(pending, results)
-            else:
-                for i, d, handle in pending:
-                    try:
-                        results[i] = handle.get(timeout=d["timeout"])
-                    except multiprocessing.TimeoutError:
-                        results[i] = self._failure(d, "TimeoutError: job exceeded wall-clock timeout")
-                    except Exception as exc:  # pool breakage / worker death
-                        results[i] = self._failure(d, f"{type(exc).__name__}: {exc}")
-        finally:
-            pool.terminate()
-            pool.join()
-        return [r for r in results if r is not None]
-
-    def _poll_pool(self, pending, results) -> None:
-        """Watch-mode pool loop: drain the bus while jobs complete.
-
-        Unlike the sequential path, messages are consumed *while* jobs
-        run (that is the point).  A job's timeout countdown starts at
-        its worker's ``start`` message (pool submission as fallback for
-        jobs that never start).
-        """
-        submitted = time.monotonic()
-        remaining = {i: (d, handle) for i, d, handle in pending}
-        while remaining:
-            self._drain_bus()
-            for i in list(remaining):
-                d, handle = remaining[i]
-                if handle.ready():
-                    try:
-                        results[i] = handle.get()
-                    except Exception as exc:  # pool breakage / worker death
-                        results[i] = self._failure(
-                            d, f"{type(exc).__name__}: {exc}"
-                        )
-                    del remaining[i]
-                    continue
-                name = d.get("name") or ""
-                base = self._job_started.get(name, submitted)
-                if time.monotonic() - base > d["timeout"]:
-                    results[i] = self._failure(
-                        d, "TimeoutError: job exceeded wall-clock timeout"
-                    )
-                    del remaining[i]
-            if remaining:
-                time.sleep(0.02)
-        self._drain_bus()
-
-    @staticmethod
-    def _failure(job_data: Dict[str, Any], error: str) -> Dict[str, Any]:
-        job = FleetJob(**job_data)
-        result = JobResult(
-            name=job.name or job.identity(),
-            app=job.app,
-            attack=job.attack,
-            ok=False,
-            error=error,
-        )
-        return result.to_dict()
 
 
 def run_fleet(
     spec: FleetSpec,
     library: ProfileLibrary,
     snapshot: Optional[MachineSnapshot] = None,
-    use_processes: Optional[bool] = None,
-    on_message: Optional[Callable[[Dict[str, Any]], None]] = None,
+    on_message: Optional[Callable[[Message], None]] = None,
     heartbeat_interval: float = 0.5,
     journal_dir: Optional[Any] = None,
 ) -> FleetReport:
@@ -578,7 +395,6 @@ def run_fleet(
         spec,
         library,
         snapshot=snapshot,
-        use_processes=use_processes,
         on_message=on_message,
         heartbeat_interval=heartbeat_interval,
         journal_dir=journal_dir,

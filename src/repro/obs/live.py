@@ -1,7 +1,8 @@
 """Live fleet observability: heartbeats, liveness, profile-drift detection.
 
-Fleet workers stream small status messages to the parent while their
-jobs run (see :mod:`repro.fleet.runner`); this module folds them into a
+Fleet workers and the serve daemon stream small status messages while
+their jobs run (see :func:`repro.fleet.jobs.execute_job`, which sends
+them for both); this module folds them into a
 per-job view that can answer, *before the pool drains*: which jobs are
 alive, which have stalled, and which are drifting away from their
 profiled baseline.

@@ -61,7 +61,7 @@ from repro.obs.metrics import (
     AlertTransition,
     SeriesBank,
 )
-from repro.telemetry.journal import JOURNAL_SCHEMA, build_span_trees
+from repro.telemetry.journal import TraceJournalWriter, build_span_trees
 
 #: Bump only when the meaning of existing store fields changes.
 STORE_SCHEMA = 1
@@ -107,58 +107,6 @@ def _segment_index(path: Path) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # writer
 # ---------------------------------------------------------------------------
-
-
-class TraceJournalWriter:
-    """One traced request's guest journal (``traces/<trace_id>.jsonl``).
-
-    Receives the raw records the worker drains from the job's bounded
-    in-memory journal and writes them verbatim (they keep their
-    original monotonic ``seq``), under a standard journal header so a
-    cleanly-closed file also satisfies the strict
-    :func:`repro.telemetry.journal.parse_journal`; a crash mid-job
-    leaves a torn tail the tolerant reader recovers from.
-    """
-
-    def __init__(self, path: Path, meta: Dict[str, Any]) -> None:
-        self.path = path
-        self._fh = open(path, "w", encoding="utf-8")
-        self._fh.write(
-            _dumps({"t": "header", "schema": JOURNAL_SCHEMA, "meta": meta})
-            + "\n"
-        )
-        self._fh.flush()
-        self._last_seq = 0
-        self._dropped = 0
-        self.closed = False
-
-    def extend(self, records: Sequence[Dict[str, Any]], dropped: int) -> None:
-        if self.closed:
-            return
-        for record in records:
-            self._fh.write(_dumps(record) + "\n")
-            seq = record.get("seq")
-            if isinstance(seq, int):
-                self._last_seq = max(self._last_seq, seq)
-        self._dropped += int(dropped)
-        if records or dropped:
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        self._fh.write(
-            _dumps(
-                {
-                    "t": "footer",
-                    "records": self._last_seq,
-                    "dropped": self._dropped,
-                }
-            )
-            + "\n"
-        )
-        self._fh.close()
 
 
 class ObsStore:

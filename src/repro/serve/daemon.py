@@ -9,18 +9,22 @@ process owns:
   snapshots booted once, plus pre-forked clones refilled in the
   background, so a submission's critical path is just the workload;
 * an **autoscaling worker pool** -- in-process worker threads grown and
-  shrunk between configured bounds by queue pressure (the fleet's
-  threaded mode already proved thread workers bit-identical);
+  shrunk between configured bounds by queue pressure (each clone is
+  private, so thread workers are bit-identical to the fleet's forked
+  processes);
 * a **JSON-lines control socket** (``repro ctl``) -- submit, status,
   result, cancel, stats, watch (streamed heartbeats + journal
   segments), shutdown-with-drain.
 
 Jobs execute through exactly the same :func:`repro.fleet.jobs.execute_job`
-path as the batch fleet, on forks pinned by config digest, with seeds
+call as the batch fleet, on forks pinned by config digest, with seeds
 derived from the same ``identity()#index`` naming convention -- so a
 daemon-submitted job's virtual-cycle score is bit-identical to the same
 job in a ``repro fleet`` batch (``benchmarks/record_serve_throughput.py``
-enforces it).
+enforces it).  The daemon hands ``execute_job`` its event stream as the
+message sink (every message stamped with job id, tenant and trace id)
+and a control check that aborts the job on cancel, on tenant-budget
+exhaustion, or once it has run longer than its ``timeout``.
 
 Telemetry: the daemon keeps its own ``serve.*`` registry (submissions,
 rejections by reason, pool hits/misses/refills, worker scale events)
@@ -38,7 +42,7 @@ import time
 import traceback
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.fleet.jobs import execute_job, prepare_offline_phase
+from repro.fleet.jobs import TIMEOUT_ERROR, execute_job, prepare_offline_phase
 from repro.fleet.library import ProfileLibrary, ProfileRecord
 from repro.fleet.spec import DEFAULT_SEED, FleetJob
 from repro.guest.config import GuestConfigError, resolve_guest
@@ -64,8 +68,12 @@ from repro.telemetry import Telemetry
 from repro.telemetry.export import snapshot as telemetry_snapshot
 from repro.telemetry.merge import empty_merge, merge_into
 
-#: Capacity of each job's in-memory journal between segment drains.
-_JOB_JOURNAL_CAPACITY = 4096
+#: A running job's error text, by :class:`JobAborted` reason.
+_ABORT_ERRORS = {
+    "cancelled": "cancelled while running",
+    "tenant-budget": "tenant virtual-cycle budget exhausted mid-job",
+    "timeout": TIMEOUT_ERROR,
+}
 
 #: Events retained for late ``watch`` subscribers.
 _EVENT_BACKLOG = 8192
@@ -79,10 +87,10 @@ class ServeError(Exception):
 
 
 class JobAborted(Exception):
-    """Raised from the progress hook to stop a running job.
+    """Raised from the job's control check to stop a running job.
 
-    ``reason`` is ``"cancelled"`` or ``"tenant-budget"``;
-    ``consumed_cycles`` is charged against the tenant either way.
+    ``reason`` is ``"cancelled"``, ``"tenant-budget"`` or ``"timeout"``;
+    ``consumed_cycles`` is charged against the tenant in every case.
     """
 
     def __init__(self, reason: str, consumed_cycles: int) -> None:
@@ -118,10 +126,6 @@ class EventSink:
                 self.dropped_total += 1
                 self._dropped_pending += 1
             return False
-
-    # kept as an alias so anything treating the sink as a plain queue
-    # (older call sites, tests) still works
-    put = offer
 
     def get(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         return self._queue.get(timeout=timeout)
@@ -648,106 +652,56 @@ class ServeDaemon:
         """Default executor: warm clone + the batch fleet's job path."""
         job = qjob.job
         record = self._record_for(job)
-        name = job.name or job.identity()
+        started = time.monotonic()
         clone = self.pool.acquire(job.guest_config())
-        journal = clone.start_recording(
-            capacity=_JOB_JOURNAL_CAPACITY,
-            meta={
-                "trace": qjob.trace_id,
-                "job": qjob.id,
-                "name": name,
-                "tenant": qjob.tenant,
-                "app": job.app,
-            },
-        )
+        name = job.name or job.identity()
+        meta = {
+            "trace": qjob.trace_id,
+            "job": qjob.id,
+            "name": name,
+            "tenant": qjob.tenant,
+            "app": job.app,
+        }
         trace_writer = None
         if self._obs_store is not None and qjob.trace_id:
             try:
-                trace_writer = self._obs_store.job_journal(
-                    qjob.trace_id,
-                    meta={
-                        "trace": qjob.trace_id,
-                        "job": qjob.id,
-                        "name": name,
-                        "tenant": qjob.tenant,
-                        "app": job.app,
-                    },
-                )
+                trace_writer = self._obs_store.job_journal(qjob.trace_id, meta)
             except OSError:
                 self.telemetry.counter("serve.obs.errors").inc()
-        start_cycles = clone.cycles
-        last_beat = [time.monotonic()]
+        stamp = {"id": qjob.id, "tenant": qjob.tenant, "trace": qjob.trace_id}
 
-        def ship_segment() -> None:
-            records_seg, dropped = journal.drain_segment()
-            if not (records_seg or dropped):
-                return
-            self._emit(
-                {
-                    "type": "journal",
-                    "id": qjob.id,
-                    "job": name,
-                    "records": records_seg,
-                    "dropped": dropped,
-                    "trace": qjob.trace_id,
-                }
-            )
-            if trace_writer is not None:
+        def sink(message: Dict[str, Any]) -> None:
+            if trace_writer is not None and message["type"] == "journal":
                 try:
-                    trace_writer.extend(records_seg, dropped)
+                    trace_writer.extend(message["records"], message["dropped"])
                 except OSError:
                     self.telemetry.counter("serve.obs.errors").inc()
+            self._emit({**message, **stamp})
 
-        def beat(machine) -> None:
-            tel = machine.telemetry
-            recoveries = tel.counters.get("recovery.recoveries")
-            verdicts = tel.labelled.get("recovery.verdicts")
-            self._emit(
-                {
-                    "type": "heartbeat",
-                    "id": qjob.id,
-                    "job": name,
-                    "tenant": qjob.tenant,
-                    "cycles": machine.cycles,
-                    "recoveries": recoveries.value if recoveries else 0,
-                    "verdicts": (
-                        {str(k): v for k, v in verdicts.values.items()}
-                        if verdicts
-                        else {}
-                    ),
-                    "trace": qjob.trace_id,
-                }
-            )
-            ship_segment()
-
-        def progress(machine, fc) -> None:
-            consumed = machine.cycles - start_cycles
+        def control(consumed: int) -> None:
             if qjob.cancel_requested:
                 raise JobAborted("cancelled", consumed)
             remaining = self.queue.remaining_budget(qjob.tenant)
             if remaining is not None and consumed > remaining:
                 raise JobAborted("tenant-budget", consumed)
-            now = time.monotonic()
-            if now - last_beat[0] < self.heartbeat_interval:
-                return
-            last_beat[0] = now
-            beat(machine)
+            if time.monotonic() - started > job.timeout:
+                raise JobAborted("timeout", consumed)
 
         try:
-            result = execute_job(
+            return execute_job(
                 clone, job, record,
-                base_seed=self.base_seed, progress=progress,
+                base_seed=self.base_seed,
+                sink=sink,
+                control=control,
+                heartbeat=self.heartbeat_interval,
+                meta=meta,
             )
         finally:
-            # final journal segment, success or abort
-            ship_segment()
-            clone.stop_recording()
             if trace_writer is not None:
                 try:
                     trace_writer.close()
                 except OSError:
                     self.telemetry.counter("serve.obs.errors").inc()
-        return result
 
     def _run_one(self, qjob: QueuedJob) -> None:
         job = qjob.job
@@ -766,11 +720,7 @@ class ServeDaemon:
             result = self._executor(qjob)
         except JobAborted as abort:
             state = "cancelled" if abort.reason == "cancelled" else "failed"
-            error = (
-                "cancelled while running"
-                if abort.reason == "cancelled"
-                else "tenant virtual-cycle budget exhausted mid-job"
-            )
+            error = _ABORT_ERRORS[abort.reason]
             self.queue.finish(
                 qjob, state, error=error,
                 charged_cycles=abort.consumed_cycles,
@@ -810,7 +760,7 @@ class ServeDaemon:
         data["tenant"] = qjob.tenant
         if result.telemetry:
             with self._lifetime_lock:
-                merge_into(self._lifetime, result.telemetry, source=name)
+                merge_into(self._lifetime, result.telemetry)
         state = "done" if result.ok else "failed"
         self.queue.finish(
             qjob,

@@ -19,8 +19,8 @@ plus per-tenant tallies) so capacity planning has data, not anecdotes.
 
 Scheduling is strict priority (higher first), FIFO within a priority
 class.  Cancellation of a queued job is immediate; cancellation of a
-running job sets a flag that the worker's progress hook observes at
-its next heartbeat check.
+running job sets a flag that the job's control check observes after
+its next run step.
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ what the monitor itself did, in order, with explicit loss accounting:
 * a ``footer`` records the final seq and total drops on a clean
   :meth:`Journal.close` (a crashed run simply has no footer -- the file
   is still valid and must then be gapless);
-* a bounded in-memory journal (fleet workers stream segments to the
-  parent) evicts oldest-first and counts every eviction in ``dropped``.
+* a bounded in-memory journal (streamed jobs ship segments to their
+  caller) evicts oldest-first and counts every eviction in ``dropped``;
+* a :class:`TraceJournalWriter` reassembles streamed segments into a
+  journal file on the receiving side.
 
 Record kinds written today: ``span`` (closed causal spans, see
 :mod:`repro.telemetry.spans`) and ``event`` (facts no span records --
@@ -29,7 +31,9 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 #: Bump only when the meaning of existing fields changes.
 JOURNAL_SCHEMA = 1
@@ -41,6 +45,14 @@ class JournalError(Exception):
 
 def _dumps(record: Dict[str, Any]) -> str:
     return json.dumps(record, separators=(",", ":"), sort_keys=True)
+
+
+def _header_line(meta: Dict[str, Any]) -> str:
+    return _dumps({"t": "header", "schema": JOURNAL_SCHEMA, "meta": meta}) + "\n"
+
+
+def _footer_line(records: int, dropped: int) -> str:
+    return _dumps({"t": "footer", "records": records, "dropped": dropped}) + "\n"
 
 
 class Journal:
@@ -74,10 +86,7 @@ class Journal:
         self.closed = False
         if self.path is not None:
             self._fh = open(self.path, "w", encoding="utf-8")
-            self._fh.write(
-                _dumps({"t": "header", "schema": JOURNAL_SCHEMA, "meta": self.meta})
-                + "\n"
-            )
+            self._fh.write(_header_line(self.meta))
 
     # -- writing -------------------------------------------------------------
 
@@ -127,10 +136,7 @@ class Journal:
             return
         self.closed = True
         if self._fh is not None:
-            self._fh.write(
-                _dumps({"t": "footer", "records": self.seq, "dropped": self.dropped})
-                + "\n"
-            )
+            self._fh.write(_footer_line(self.seq, self.dropped))
             self._fh.close()
             self._fh = None
 
@@ -146,6 +152,45 @@ class Journal:
         clone = Journal(capacity=self.capacity, keep=self.keep, meta=self.meta)
         memo[id(self)] = clone
         return clone
+
+
+class TraceJournalWriter:
+    """A journal file reassembled from streamed segments.
+
+    Receives the raw records a job drains from its bounded in-memory
+    journal and writes them verbatim (they keep their original
+    monotonic ``seq``), under a standard header, so a cleanly-closed
+    file satisfies the strict :func:`parse_journal`; a crash mid-job
+    leaves a torn tail the archive's tolerant reader recovers from.
+    """
+
+    def __init__(self, path: Union[str, Path], meta: Dict[str, Any]) -> None:
+        self.path = Path(path)
+        self._fh = open(self.path, "w", encoding="utf-8")
+        self._fh.write(_header_line(meta))
+        self._fh.flush()
+        self._last_seq = 0
+        self._dropped = 0
+        self.closed = False
+
+    def extend(self, records: Sequence[Dict[str, Any]], dropped: int) -> None:
+        if self.closed:
+            return
+        for record in records:
+            self._fh.write(_dumps(record) + "\n")
+            seq = record.get("seq")
+            if isinstance(seq, int):
+                self._last_seq = max(self._last_seq, seq)
+        self._dropped += int(dropped)
+        if records or dropped:
+            self._fh.flush()
+
+    def close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        self._fh.write(_footer_line(self._last_seq, self._dropped))
+        self._fh.close()
 
 
 # -- reading -----------------------------------------------------------------

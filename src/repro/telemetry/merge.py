@@ -18,7 +18,7 @@ merged here -- they stay in each guest's span journal.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 
 def _merge_counters(target: Dict[str, int], source: Dict[str, int]) -> None:
@@ -69,16 +69,13 @@ def empty_merge() -> Dict[str, Any]:
 
 
 def merge_into(
-    accumulator: Dict[str, Any],
-    snap: Dict[str, Any],
-    source: str,
+    accumulator: Dict[str, Any], snap: Dict[str, Any]
 ) -> Dict[str, Any]:
     """Fold one more registry snapshot into ``accumulator`` in place.
 
     The incremental counterpart to :func:`merge_snapshots`, for
     long-lived consumers (the serve daemon) that cannot afford to keep
-    every source snapshot alive for a batch merge.  ``source`` names
-    the guest the snapshot came from.
+    every source snapshot alive for a batch merge.
     """
     _merge_counters(accumulator["counters"], snap.get("counters", {}))
     _merge_labelled(
@@ -97,21 +94,9 @@ def merge_into(
     return accumulator
 
 
-def merge_snapshots(
-    snapshots: Sequence[Dict[str, Any]],
-    sources: Optional[Sequence[str]] = None,
-) -> Dict[str, Any]:
-    """Fold registry snapshot dicts into one fleet-level snapshot.
-
-    ``sources`` (parallel to ``snapshots``) names the guest each came
-    from; defaults to ``guest-<i>``.
-    """
-    if sources is not None and len(sources) != len(snapshots):
-        raise ValueError(
-            f"{len(sources)} source names for {len(snapshots)} snapshots"
-        )
+def merge_snapshots(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """Fold registry snapshot dicts into one fleet-level snapshot."""
     merged = empty_merge()
-    for i, snap in enumerate(snapshots):
-        label = sources[i] if sources is not None else f"guest-{i}"
-        merge_into(merged, snap, source=label)
+    for snap in snapshots:
+        merge_into(merged, snap)
     return merged

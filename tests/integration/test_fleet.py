@@ -58,7 +58,7 @@ def test_library_profile_drives_forked_clones_without_reprofiling(
          "jobs": [{"app": "top"}, {"app": "top"},
                   {"app": "top", "attack": "Injectso"}]}
     )
-    report = run_fleet(spec, library, use_processes=False)
+    report = run_fleet(spec, library)
     assert report.failed == 0
     by_name = {r["name"]: r for r in report.results}
     # clean clones are bit-identical to each other
@@ -83,7 +83,7 @@ def test_cli_fleet_runs_from_spec_file(library_dir, tmp_path, capsys):
     code = main([
         "fleet", str(spec_path),
         "--library", str(library_dir),
-        "--no-offline", "--threads",
+        "--no-offline",
         "-o", str(out),
     ])
     assert code == 0

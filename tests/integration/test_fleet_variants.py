@@ -56,7 +56,7 @@ def test_matrix_fleet_runs_every_variant_once(library):
             "guests": ["default", "no-net"],
         },
     })
-    report = run_fleet(spec, library, use_processes=False)
+    report = run_fleet(spec, library)
     assert report.failed == 0
     by_name = {r["name"]: r for r in report.results}
     assert by_name["top+Adore-ng@default#0"]["detected"] is True

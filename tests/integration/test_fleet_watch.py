@@ -66,7 +66,6 @@ def test_watch_streams_heartbeats_and_flags_drift(stale_library, tmp_path):
     report = run_fleet(
         spec,
         stale_library,
-        use_processes=False,
         on_message=on_message,
         heartbeat_interval=0.0,
         journal_dir=journal_dir,
@@ -113,7 +112,7 @@ def test_cli_fleet_watch_prints_live_notices(stale_library, tmp_path, capsys):
     code = main([
         "fleet", "--apps", "top", "--repeat", "1",
         "--library", str(stale_library.root),
-        "--no-offline", "--threads", "--watch", "--heartbeat", "0",
+        "--no-offline", "--watch", "--heartbeat", "0",
         "-o", str(out),
     ])
     assert code == 0

@@ -34,7 +34,7 @@ def test_daemon_scores_bit_identical_to_batch_fleet(library, daemon):
         {"name": "ref", "workers": 2, "scale": 2,
          "jobs": [{"app": "top"}, {"app": "top", "attack": "Injectso"}]}
     )
-    report = run_fleet(spec, library, use_processes=False)
+    report = run_fleet(spec, library)
     assert report.failed == 0
     batch = {
         r["name"]: (r["cycles"], r["syscalls"]) for r in report.results
@@ -106,3 +106,66 @@ def test_cancel_queued_job_behind_a_busy_worker(library):
         assert final.state == "cancelled"
     finally:
         daemon.shutdown(timeout=30.0)
+
+
+def _recovery_stats(telemetry):
+    return (
+        telemetry["counters"].get("recovery.recoveries", 0),
+        telemetry["labelled_counters"].get("recovery.verdicts", {}),
+    )
+
+
+def test_ctl_watch_and_fleet_watch_end_with_the_jobs_recovery_stats(
+    library, daemon
+):
+    """A job shorter than one heartbeat still ends with its true stats."""
+    import queue
+    import time
+
+    from repro.obs import LiveFleetView
+
+    sink, _ = daemon.subscribe()
+    served_view = LiveFleetView()
+    qjob = daemon.submit({"app": "top", "scale": 1, "attack": "Injectso"})
+    deadline = time.monotonic() + 120.0
+    while time.monotonic() < deadline:
+        try:
+            event = sink.get(timeout=0.5)
+        except queue.Empty:
+            continue
+        served_view.update(event)
+        if event.get("id") == qjob.id and event["type"] == "done":
+            break
+    daemon.unsubscribe(sink)
+    assert qjob.state == "done", qjob.error
+    served = served_view.jobs[qjob.job.name]
+    expected = _recovery_stats(daemon.stats()["jobs_telemetry"])
+    assert expected[0] > 0
+    assert (served.recoveries, served.verdicts) == expected
+
+    spec = FleetSpec.from_dict(
+        {"name": "watch", "workers": 1, "scale": 1,
+         "jobs": [{"app": "top", "attack": "Injectso"}]}
+    )
+    batch_view = LiveFleetView()
+    report = run_fleet(spec, library, on_message=batch_view.update)
+    assert report.failed == 0
+    batch = batch_view.jobs[report.results[0]["name"]]
+    assert (batch.recoveries, batch.verdicts) == _recovery_stats(
+        report.results[0]["telemetry"]
+    )
+    assert (batch.recoveries, batch.verdicts) == (
+        served.recoveries, served.verdicts
+    )
+
+
+def test_daemon_honours_the_submitted_wall_clock_timeout(library, daemon):
+    from repro.fleet.jobs import TIMEOUT_ERROR
+
+    qjob = daemon.submit({"app": "top", "scale": 2, "timeout": 0.01})
+    done = daemon.queue.wait_terminal(qjob.id, timeout=120.0)
+    assert done.state == "failed"
+    assert done.error.startswith(TIMEOUT_ERROR)
+    # the cycles the job consumed before the abort were charged
+    tenants = daemon.queue.describe()["tenants"]
+    assert tenants["default"]["charged_cycles"] > 0

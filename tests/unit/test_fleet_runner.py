@@ -9,7 +9,8 @@ from repro.fleet import (
     prepare_offline_phase,
     run_fleet,
 )
-from repro.fleet.jobs import execute_job
+import repro.fleet.runner as runner_mod
+from repro.fleet.jobs import TIMEOUT_ERROR, execute_job
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import FleetJob, derive_seed, uniform_spec
 from repro.guest.machine import boot_machine
@@ -88,17 +89,21 @@ def library(tmp_path_factory):
     return lib
 
 
-def test_serial_and_threaded_runs_agree(library):
-    spec = uniform_spec(["top", "gzip"], scale=2, workers=1)
+def test_process_pool_and_serial_fallback_agree(library, monkeypatch):
+    spec = uniform_spec(["top", "gzip"], scale=2, workers=2)
+    pooled = run_fleet(spec, library)
+    # a platform without fork() gets the in-process serial loop
+    monkeypatch.setattr(
+        runner_mod.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
     serial = run_fleet(spec, library)
-    spec2 = uniform_spec(["top", "gzip"], scale=2, workers=2)
-    threaded = run_fleet(spec2, library, use_processes=False)
+    assert pooled.mode == "processes"
     assert serial.mode == "serial"
-    assert threaded.mode == "threads"
-    assert serial.failed == threaded.failed == 0
+    assert pooled.failed == serial.failed == 0
+    pooled_scores = {r["name"]: (r["cycles"], r["syscalls"]) for r in pooled.results}
     serial_scores = {r["name"]: (r["cycles"], r["syscalls"]) for r in serial.results}
-    thread_scores = {r["name"]: (r["cycles"], r["syscalls"]) for r in threaded.results}
-    assert serial_scores == thread_scores
+    assert pooled_scores == serial_scores
+    assert pooled.forked == serial.forked == 2
 
 
 def test_same_job_twice_has_identical_telemetry(library):
@@ -115,23 +120,39 @@ def test_same_job_twice_has_identical_telemetry(library):
 
 
 def test_worker_crash_fails_job_not_fleet(library, monkeypatch):
-    import repro.fleet.runner as runner_mod
-
     real_execute = runner_mod.execute_job
 
-    def exploding(machine, job, record, base_seed=0):
+    def exploding(machine, job, record, **kwargs):
         if job.app == "gzip":
             raise RuntimeError("simulated guest crash")
-        return real_execute(machine, job, record, base_seed=base_seed)
+        return real_execute(machine, job, record, **kwargs)
 
     monkeypatch.setattr(runner_mod, "execute_job", exploding)
     spec = uniform_spec(["top", "gzip"], scale=2, workers=2)
-    report = run_fleet(spec, library, use_processes=False)
+    report = run_fleet(spec, library)
     by_name = {r["name"]: r for r in report.results}
     assert by_name["top#0"]["ok"]
     assert not by_name["gzip#0"]["ok"]
     assert "simulated guest crash" in by_name["gzip#0"]["error"]
     assert report.failed == 1
+
+
+def test_worker_death_fails_job_not_fleet(library, monkeypatch):
+    import os
+
+    real_execute = runner_mod.execute_job
+
+    def dying(machine, job, record, **kwargs):
+        if job.app == "gzip":
+            os._exit(3)
+        return real_execute(machine, job, record, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "execute_job", dying)
+    spec = uniform_spec(["gzip", "top"], scale=2, workers=1)
+    report = run_fleet(spec, library)
+    by_name = {r["name"]: r for r in report.results}
+    assert "exited with code 3" in by_name["gzip#0"]["error"]
+    assert by_name["top#0"]["ok"]
 
 
 def test_missing_profile_is_a_library_error(library):
@@ -162,3 +183,40 @@ def test_exhausted_cycle_budget_fails_job(library):
     report = run_fleet(spec, library)
     assert report.failed == 1
     assert "budget" in report.results[0]["error"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stuck_job_times_out_and_the_fleet_carries_on(
+    library, monkeypatch, workers
+):
+    """A job past its wall-clock timeout is killed; the rest still run."""
+    import time
+
+    real_execute = runner_mod.execute_job
+
+    def stuck(machine, job, record, **kwargs):
+        if job.app == "gzip":
+            time.sleep(60)
+        return real_execute(machine, job, record, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "execute_job", stuck)
+    timeout = 2.0
+    spec = FleetSpec(
+        jobs=[
+            FleetJob(app="gzip", scale=2, timeout=timeout, name="gzip#0"),
+            FleetJob(app="top", scale=2, name="top#0"),
+        ],
+        workers=workers,
+    )
+    messages = []
+    began = time.monotonic()
+    report = run_fleet(spec, library, on_message=messages.append)
+    elapsed = time.monotonic() - began
+    by_name = {r["name"]: r for r in report.results}
+    assert by_name["gzip#0"]["error"].startswith(TIMEOUT_ERROR)
+    assert not by_name["gzip#0"]["ok"]
+    assert by_name["top#0"]["ok"], by_name["top#0"]["error"]
+    assert elapsed < timeout + 5.0
+    # the watcher is told the stuck job failed
+    assert {"type": "done", "job": "gzip#0", "ok": False,
+            "error": TIMEOUT_ERROR} in messages

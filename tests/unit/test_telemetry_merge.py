@@ -87,11 +87,6 @@ def test_merge_single_snapshot_is_identity_on_instruments():
     assert merged["histograms"]["latency"]["count"] == 3
 
 
-def test_source_name_count_mismatch_rejected():
-    with pytest.raises(ValueError, match="source names"):
-        merge_snapshots([{}, {}], sources=["only-one"])
-
-
 def test_merge_of_empty_list_is_empty():
     merged = merge_snapshots([])
     assert merged["counters"] == {}
@@ -111,10 +106,10 @@ def test_merge_into_equals_batch_merge():
     _observe(right, STREAM_B)
     snaps = [snapshot(left), snapshot(right)]
 
-    batch = merge_snapshots(snaps, sources=["job-a", "job-b"])
+    batch = merge_snapshots(snaps)
     incremental = empty_merge()
-    merge_into(incremental, snaps[0], source="job-a")
-    merge_into(incremental, snaps[1], source="job-b")
+    merge_into(incremental, snaps[0])
+    merge_into(incremental, snaps[1])
 
     assert incremental["counters"] == batch["counters"]
     assert incremental["labelled_counters"] == batch["labelled_counters"]
