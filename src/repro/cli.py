@@ -824,7 +824,8 @@ def _render_stats_table(stats: dict) -> str:
         ),
         f"workers    alive {workers.get('alive', 0)}  "
         f"desired {workers.get('desired', 0)}  "
-        f"bounds {workers.get('min', 0)}..{workers.get('max', 0)}",
+        f"bounds {workers.get('min', 0)}..{workers.get('max', 0)}  "
+        f"pids {' '.join(map(str, workers.get('pids', []))) or '-'}",
     ]
     pool = stats.get("pool", {})
     for digest in sorted(pool, key=lambda d: pool[d].get("label", d)):
@@ -1250,7 +1251,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser(
         "serve",
         help="run the multi-tenant fleet daemon (warm snapshot pools, "
-        "priority job queue, autoscaling workers; control with ctl)",
+        "priority job queue, autoscaling worker processes; control with "
+        "ctl)",
     )
     p.add_argument(
         "--socket",
@@ -1274,11 +1276,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p.add_argument(
         "--min-workers", type=int, default=1,
-        help="worker pool floor (default 1)",
+        help="worker process floor (default 1)",
     )
     p.add_argument(
         "--max-workers", type=int, default=4,
-        help="worker pool ceiling (default 4)",
+        help="worker process ceiling (default 4)",
     )
     p.add_argument(
         "--queue-depth", type=int, default=64,
@@ -1286,7 +1288,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p.add_argument(
         "--warm", type=int, default=2,
-        help="pre-forked clones kept warm per variant (default 2)",
+        help="pre-forked clones each worker keeps warm per variant "
+        "(default 2)",
     )
     p.add_argument(
         "--tenant-in-flight", type=int,

@@ -22,29 +22,32 @@ Isolation properties:
 * guests never share mutable state -- every clone has private frames
   (CoW) and a private telemetry registry, merged only after the fact.
 
-The job itself runs through :func:`repro.fleet.jobs.execute_job`, the
-same path the serve daemon uses; with a watcher or a journal directory
-configured it streams ``heartbeat`` / ``journal`` messages between the
-worker's own ``start`` and ``done``.  Platforms without ``fork`` fall
-back to running the jobs one by one in this process (no timeout
-there); results are bit-identical either way.
+The workers, their pipes, the poll loop and the timeout kill are
+:class:`repro.fleet.workers.WorkerPool`, the worker transport the serve
+daemon drives too.  The job itself runs through
+:func:`repro.fleet.jobs.execute_job`, the same path the serve daemon
+uses; with a watcher or a journal directory configured it streams
+``heartbeat`` / ``journal`` messages between the worker's own ``start``
+and ``done``.  Platforms without ``fork`` fall back to running the jobs
+one by one in this process (no timeout there); results are
+bit-identical either way.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import sys
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.fleet.jobs import TIMEOUT_ERROR, JobResult, execute_job
+from repro.fleet.jobs import JobResult, execute_job
 from repro.fleet.library import ProfileLibrary, ProfileRecord
 from repro.fleet.snapshot import MachineSnapshot
 from repro.fleet.spec import FleetJob, FleetSpec
+from repro.fleet.workers import WorkerPool
 from repro.guest.config import GuestConfig
 from repro.guest.machine import boot_machine
 from repro.telemetry.journal import TraceJournalWriter
@@ -296,73 +299,36 @@ class FleetRunner:
     def _run_processes(self) -> List[Message]:
         """Run the jobs on up to ``spec.workers`` forked worker processes.
 
-        One poll loop hands each idle worker the next job, relays worker
-        messages as they arrive, collects results, and kills any worker
-        whose job has run past its ``timeout`` (counted from that job's
-        own start); a replacement is forked while jobs remain.
+        One :class:`~repro.fleet.workers.WorkerPool` loop hands each idle
+        worker the next job, relays worker messages as they arrive and
+        collects results; the pool kills a worker whose job has run past
+        its ``timeout`` (counted from that job's own start) and replaces
+        it while jobs remain.
         """
-        context = multiprocessing.get_context("fork")
-        pending = list(range(len(self.spec.jobs)))
-        results: List[Optional[Message]] = [None] * len(pending)
-        #: parent end of each busy worker's pipe -> (process, job index, start)
-        busy: Dict[Any, Any] = {}
-
-        def assign(conn: Any, process: Any) -> None:
-            index = pending.pop(0)
-            conn.send(index)
-            busy[conn] = (process, index, time.monotonic())
-
+        jobs = self.spec.jobs
+        pending = deque(range(len(jobs)))
+        results: List[Optional[Message]] = [None] * len(jobs)
+        pool = WorkerPool(self._worker)
         try:
-            while pending or busy:
-                while pending and len(busy) < self.spec.workers:
-                    conn, child_conn = context.Pipe()
-                    # nothing buffered may be inherited and flushed twice
-                    sys.stdout.flush()
-                    sys.stderr.flush()
-                    process = context.Process(
-                        target=self._worker, args=(child_conn,), daemon=True
-                    )
-                    process.start()
-                    child_conn.close()
-                    assign(conn, process)
-                for conn in wait(list(busy), timeout=0.05):
-                    process, index, _ = busy[conn]
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                    if message is not None and message["type"] != "result":
-                        self._dispatch(message)
-                        continue
-                    del busy[conn]
-                    if message is not None:
-                        results[index] = message["data"]
-                        if pending:
-                            assign(conn, process)
-                            continue
-                        conn.send(None)  # no work left: the worker exits
-                    process.join()
-                    conn.close()
-                    if message is None:
-                        results[index] = self._fail(
-                            self.spec.jobs[index],
-                            f"worker exited with code {process.exitcode} "
-                            "before returning a result",
+            while pending or pool.busy():
+                pool.resize(
+                    min(self.spec.workers, len(pending) + len(pool.busy()))
+                )
+                for worker in pool.idle()[: len(pending)]:
+                    index = pending.popleft()
+                    if not pool.assign(worker, index, index, jobs[index].timeout):
+                        pending.appendleft(index)
+                for event in pool.poll(0.05):
+                    if event.kind == "message":
+                        self._dispatch(event.message)
+                    elif event.kind == "result":
+                        results[event.task] = event.message["data"]
+                    elif event.task is not None:
+                        results[event.task] = self._fail(
+                            jobs[event.task], event.error
                         )
-                now = time.monotonic()
-                for conn, (process, index, began) in list(busy.items()):
-                    job = self.spec.jobs[index]
-                    if now - began > job.timeout:
-                        del busy[conn]
-                        process.kill()
-                        process.join()
-                        conn.close()
-                        results[index] = self._fail(job, TIMEOUT_ERROR)
         finally:
-            for conn, (process, _, _) in busy.items():
-                process.kill()
-                process.join()
-                conn.close()
+            pool.close()
         return results
 
     # -- live message plumbing ------------------------------------------------------

@@ -12,10 +12,11 @@ subsystem.
 * :mod:`repro.serve.queue` -- priority job queue, admission control,
   per-tenant in-flight caps and virtual-cycle budgets;
 * :mod:`repro.serve.pool` -- warm ``MachineSnapshot`` pools keyed by
-  ``GuestConfig.digest()`` with background-refilled pre-forked clones;
-* :mod:`repro.serve.daemon` -- the daemon: autoscaling worker pool,
-  JSON-lines control socket, streamed heartbeats/journal segments,
-  lifetime telemetry merge;
+  ``GuestConfig.digest()`` in the daemon, and each worker's
+  :class:`~repro.serve.pool.CloneBuffer` of pre-forked clones;
+* :mod:`repro.serve.daemon` -- the daemon: autoscaling pool of
+  fork-started worker processes, JSON-lines control socket, streamed
+  heartbeats/journal segments, lifetime telemetry merge;
 * :mod:`repro.serve.client` -- the ``repro ctl`` client;
 * :mod:`repro.serve.protocol` -- the wire format.
 """
@@ -29,7 +30,7 @@ from repro.serve.client import (
     UnknownJob,
 )
 from repro.serve.daemon import EventSink, JobAborted, ServeDaemon, ServeError
-from repro.serve.pool import WarmPool
+from repro.serve.pool import CloneBuffer, WarmPool
 from repro.serve.protocol import DEFAULT_SOCKET, mint_trace_id
 from repro.serve.queue import (
     AdmissionError,
@@ -42,6 +43,7 @@ from repro.serve.webhook import AlertWebhook
 __all__ = [
     "AdmissionError",
     "AlertWebhook",
+    "CloneBuffer",
     "DEFAULT_SOCKET",
     "DaemonUnreachable",
     "EventSink",

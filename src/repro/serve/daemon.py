@@ -6,45 +6,64 @@ process owns:
 * a :class:`~repro.serve.queue.JobQueue` -- priority scheduling with
   admission control and per-tenant virtual-cycle budgets;
 * a :class:`~repro.serve.pool.WarmPool` -- per-guest-variant machine
-  snapshots booted once, plus pre-forked clones refilled in the
-  background, so a submission's critical path is just the workload;
-* an **autoscaling worker pool** -- in-process worker threads grown and
-  shrunk between configured bounds by queue pressure (each clone is
-  private, so thread workers are bit-identical to the fleet's forked
-  processes);
+  snapshots booted once, before any worker exists, and the pool
+  accounting the workers report into;
+* an **autoscaling pool of worker processes** -- fork-started on the
+  fleet's worker transport (:class:`repro.fleet.workers.WorkerPool`),
+  grown and shrunk between configured bounds by queue pressure.  Each
+  worker inherits the snapshots and the start-up profile records
+  through ``fork`` and keeps its own small warm-clone buffer per
+  variant (a :class:`~repro.serve.pool.CloneBuffer`), refilled between
+  jobs;
 * a **JSON-lines control socket** (``repro ctl``) -- submit, status,
   result, cancel, stats, watch (streamed heartbeats + journal
   segments), shutdown-with-drain.
+
+One parent thread, the dispatch loop, drives the workers: it hands
+queued jobs to idle workers, relays their ``heartbeat`` / ``journal``
+messages to the event stream, folds each result into the queue and the
+lifetime telemetry, and autoscales.  No thread runs a job.  Cancel and
+tenant-budget updates travel to the worker over its pipe; the worker's
+control check reads them without blocking and aborts the job on
+cancel, on tenant-budget exhaustion, or once it has run longer than its
+``timeout``.  The transport's kill at ``timeout`` plus a short grace is
+only a backstop for a job stuck outside that check.  Profile-library
+writes (``--auto-profile``) stay in the parent, on a helper thread, so
+they never stall message relay.
 
 Jobs execute through exactly the same :func:`repro.fleet.jobs.execute_job`
 call as the batch fleet, on forks pinned by config digest, with seeds
 derived from the same ``identity()#index`` naming convention -- so a
 daemon-submitted job's virtual-cycle score is bit-identical to the same
 job in a ``repro fleet`` batch (``benchmarks/record_serve_throughput.py``
-enforces it).  The daemon hands ``execute_job`` its event stream as the
-message sink (every message stamped with job id, tenant and trace id)
-and a control check that aborts the job on cancel, on tenant-budget
-exhaustion, or once it has run longer than its ``timeout``.
+enforces it).
 
 Telemetry: the daemon keeps its own ``serve.*`` registry (submissions,
-rejections by reason, pool hits/misses/refills, worker scale events)
-and folds every finished job's guest registry into one lifetime merge
-via :func:`repro.telemetry.merge.merge_into`.
+rejections by reason, pool hits/misses/refills reported by the workers,
+worker spawn/retire counts) and folds every finished job's guest
+registry into one lifetime merge via
+:func:`repro.telemetry.merge.merge_into`.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import queue as queue_mod
+import signal
+import socket
 import threading
 import time
 import traceback
+from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.fleet.jobs import TIMEOUT_ERROR, execute_job, prepare_offline_phase
 from repro.fleet.library import ProfileLibrary, ProfileRecord
 from repro.fleet.spec import DEFAULT_SEED, FleetJob
+from repro.fleet.workers import Event, Worker, WorkerPool
 from repro.guest.config import GuestConfigError, resolve_guest
 from repro.obs.metrics import AlertRule, MetricsRecorder
 from repro.obs.store import (
@@ -55,7 +74,7 @@ from repro.obs.store import (
     ObsStore,
 )
 from repro.serve import protocol
-from repro.serve.pool import WarmPool
+from repro.serve.pool import CloneBuffer, WarmPool
 from repro.serve.queue import (
     REASON_NO_PROFILE,
     AdmissionError,
@@ -80,6 +99,13 @@ _EVENT_BACKLOG = 8192
 
 #: Per-subscriber bounded event buffer (slow watchers drop, not block).
 _WATCH_BUFFER = 1024
+
+#: Seconds past a job's ``timeout`` before its worker is killed: the
+#: worker's own control check normally stops the job first.
+_KILL_GRACE = 1.0
+
+#: A job running when the daemon stopped without waiting for it.
+_STOPPED_ERROR = "the daemon stopped before the job finished"
 
 
 class ServeError(Exception):
@@ -138,6 +164,128 @@ class EventSink:
             return pending
 
 
+def _record_key(job: FleetJob) -> Tuple[str, str]:
+    """Profile records are keyed by (app, guest build digest)."""
+    return job.app, job.guest_config().build_digest()
+
+
+def _job_meta(qjob: QueuedJob) -> Dict[str, Any]:
+    """A served job's journal labels (its ``trace`` tags root spans)."""
+    return {
+        "trace": qjob.trace_id,
+        "job": qjob.id,
+        "name": qjob.job.name or qjob.job.identity(),
+        "tenant": qjob.tenant,
+        "app": qjob.job.app,
+    }
+
+
+@dataclass(eq=False)
+class _Running:
+    """The dispatch loop's record of a job out on a worker."""
+
+    qjob: QueuedJob
+    #: the tenant's remaining budget as last sent to the worker
+    budget: Optional[int]
+    cancel_sent: bool = False
+    #: the obs archive's journal file for the job's trace
+    writer: Any = None
+
+
+class _WorkerLoop:
+    """One worker process's side of the pipe (runs only in the child).
+
+    Fork rule: the child touches no lock a parent thread may hold.  It
+    reads the inherited snapshots and profile records without locking,
+    builds its own clone buffer and talks only over its own pipe.
+    """
+
+    def __init__(self, daemon: "ServeDaemon", conn: Any) -> None:
+        self.conn = conn
+        self.pool = CloneBuffer(daemon.pool.snapshots, daemon.pool.warm_target)
+        self.records = dict(daemon._records)
+        self.executor = daemon._executor or self.execute
+        self.base_seed = daemon.base_seed
+        self.heartbeat = daemon.heartbeat_interval
+        self.job_id: Optional[str] = None
+        self.cancelled = False
+        self.budget: Optional[int] = None
+        self.deadline = float("inf")
+
+    def serve(self) -> None:
+        """Run jobs until told to exit; refill clones while idle."""
+        try:
+            while True:
+                refilled = False
+                while not self.conn.poll() and self.pool.refill_once():
+                    refilled = True
+                if refilled:
+                    self.conn.send({"type": "pool", "pool": self.pool.report()})
+                message = self.conn.recv()
+                if message is None:
+                    return
+                if message["type"] == "job":
+                    self.conn.send(self.run_job(message))
+                # else: a cancel or budget update that arrived after its
+                # job finished
+        except (EOFError, OSError):
+            return  # the daemon is gone
+
+    def run_job(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        qjob = message["qjob"]
+        if "record" in message:
+            self.records[_record_key(qjob.job)] = message["record"]
+        self.job_id = qjob.id
+        self.cancelled = False
+        self.budget = message["budget"]
+        self.deadline = time.monotonic() + qjob.job.timeout
+        reply: Dict[str, Any] = {"type": "result"}
+        try:
+            reply["result"] = self.executor(qjob, self.control)
+        except JobAborted as abort:
+            reply["abort"] = (abort.reason, abort.consumed_cycles)
+        except Exception as exc:  # noqa: BLE001 - crash isolation boundary
+            reply["error"] = (
+                f"{type(exc).__name__}: {exc}\n"
+                f"{traceback.format_exc(limit=4)}"
+            )
+        self.job_id = None
+        reply["pool"] = self.pool.report()
+        return reply
+
+    def control(self, consumed: int) -> None:
+        """The job's control check: read pending cancel/budget messages
+        without blocking, then stop the job if it must stop."""
+        while self.conn.poll():
+            message = self.conn.recv()
+            if message.get("job") != self.job_id:
+                continue  # meant for an earlier job
+            if message["type"] == "cancel":
+                self.cancelled = True
+            elif message["type"] == "budget":
+                self.budget = message["budget"]
+        if self.cancelled:
+            raise JobAborted("cancelled", consumed)
+        if self.budget is not None and consumed > self.budget:
+            raise JobAborted("tenant-budget", consumed)
+        if time.monotonic() > self.deadline:
+            raise JobAborted("timeout", consumed)
+
+    def execute(self, qjob: QueuedJob, control: Callable[[int], None]):
+        """Default executor: warm clone + the batch fleet's job path."""
+        job = qjob.job
+        record = self.records[_record_key(job)]
+        clone = self.pool.acquire(job.guest_config())
+        return execute_job(
+            clone, job, record,
+            base_seed=self.base_seed,
+            sink=self.conn.send,
+            control=control,
+            heartbeat=self.heartbeat,
+            meta=_job_meta(qjob),
+        )
+
+
 class ServeDaemon:
     """The long-lived fleet service (see module docstring)."""
 
@@ -155,7 +303,9 @@ class ServeDaemon:
         heartbeat_interval: float = 0.25,
         auto_profile: bool = False,
         profile_scale: int = 4,
-        executor: Optional[Callable[[QueuedJob], Any]] = None,
+        executor: Optional[
+            Callable[[QueuedJob, Callable[[int], None]], Any]
+        ] = None,
         scale_interval: float = 0.05,
         metrics_interval: Optional[float] = 1.0,
         metrics_addr: Optional[str] = None,
@@ -193,8 +343,12 @@ class ServeDaemon:
             telemetry=self.telemetry,
         )
         self.pool = WarmPool(warm_target=warm_target, telemetry=self.telemetry)
-        self._executor = executor or self._execute
+        #: runs in the worker as ``executor(qjob, control)``; ``None``
+        #: is the real path (warm clone + ``execute_job``)
+        self._executor = executor
         self._records: Dict[Any, ProfileRecord] = {}
+        #: record keys every worker inherited (others travel with a job)
+        self._inherited: frozenset = frozenset()
         self._records_lock = threading.Lock()
         #: merged guest telemetry across every finished job, ever
         self._lifetime = empty_merge()
@@ -232,12 +386,18 @@ class ServeDaemon:
         self._obs_store: Optional[ObsStore] = None
         self.alert_webhook_url = alert_webhook
         self._webhook: Optional[AlertWebhook] = None
-        # worker pool
-        self._workers: Dict[int, threading.Thread] = {}
-        self._workers_lock = threading.Lock()
+        # execution plane: worker processes, driven by the dispatch loop
+        self._workers: Optional[WorkerPool] = None
+        self._worker_pids: Tuple[int, ...] = ()
         self._desired_workers = min_workers
-        self._stop_workers = threading.Event()
-        self._supervisor: Optional[threading.Thread] = None
+        #: jobs whose profile record a helper thread just resolved
+        self._resolved: deque = deque()
+        #: orders a resolved job against the dispatch loop's last drain
+        self._resolved_lock = threading.Lock()
+        self._dispatcher: Optional[threading.Thread] = None
+        self._stop_dispatch = threading.Event()
+        self._wake_recv: Optional[socket.socket] = None
+        self._wake_send: Optional[socket.socket] = None
         # server
         self._server_socket = None
         self._server_thread: Optional[threading.Thread] = None
@@ -253,11 +413,12 @@ class ServeDaemon:
         apps: Optional[List[str]] = None,
         guests: Optional[List[Any]] = None,
     ) -> None:
-        """Bring the daemon up: profiles, warm pools, workers, socket.
+        """Bring the daemon up: profiles, snapshots, workers, socket.
 
         ``apps`` are profiled into the library up front (once per kernel
-        build); ``guests`` name the variants whose snapshot + warm-clone
-        buffers are booted before the first submission arrives.
+        build) and their records loaded; ``guests`` name the variants
+        whose snapshots are booted.  Only then are the worker processes
+        forked, so every worker inherits both.
         """
         self.started_at = time.time()
         if self.obs_dir is not None:
@@ -293,24 +454,14 @@ class ServeDaemon:
                 continue
             seen.add(config.digest())
             if apps:
-                prepare_offline_phase(
+                records = prepare_offline_phase(
                     self.library, sorted(set(apps)),
                     scale=self.profile_scale, guest=config,
                 )
+                for app, record in records.items():
+                    self._records[(app, config.build_digest())] = record
             self.pool.ensure(config)
-        self.pool.prewarm()
-        self.pool.start_refill_thread()
-        self._scale_to(self.min_workers)
-        self._supervisor = threading.Thread(
-            target=self._supervise, name="serve-supervisor", daemon=True
-        )
-        self._supervisor.start()
-        if self.socket_path is not None:
-            self._server_socket = protocol.listen(self.socket_path)
-            self._server_thread = threading.Thread(
-                target=self._accept_loop, name="serve-accept", daemon=True
-            )
-            self._server_thread.start()
+        self._start_workers()
         if self.metrics is not None:
             if self.metrics_addr is not None:
                 self._start_metrics_http()
@@ -327,6 +478,14 @@ class ServeDaemon:
                 "max_workers": self.max_workers,
             }
         )
+        # the socket opens last: a request (a shutdown, say) may arrive
+        # the moment it listens, and must find every thread started
+        if self.socket_path is not None:
+            self._server_socket = protocol.listen(self.socket_path)
+            self._server_thread = threading.Thread(
+                target=self._accept_loop, name="serve-accept", daemon=True
+            )
+            self._server_thread.start()
 
     def shutdown(
         self, drain: bool = True, timeout: Optional[float] = None
@@ -362,13 +521,10 @@ class ServeDaemon:
             except OSError:
                 pass
             self._metrics_server = None
-        self._stop_workers.set()
-        self._desired_workers = 0
-        with self._workers_lock:
-            workers = list(self._workers.values())
-        for thread in workers:
-            thread.join(timeout=5.0)
-        self.pool.stop()
+        self._stop_dispatch.set()
+        if self._dispatcher is not None:
+            self._wake()
+            self._dispatcher.join()
         if self._server_socket is not None:
             try:
                 self._server_socket.close()
@@ -557,79 +713,226 @@ class ServeDaemon:
                 "trace": trace_id,
             }
         )
+        self._wake()
         return queued
 
-    # -- worker pool ------------------------------------------------------------
+    # -- execution plane ----------------------------------------------------------
 
-    def _scale_to(self, desired: int) -> None:
-        self._desired_workers = desired
-        with self._workers_lock:
-            alive = {
-                wid for wid, t in self._workers.items() if t.is_alive()
-            }
-            for wid in range(desired):
-                if wid not in alive:
-                    thread = threading.Thread(
-                        target=self._worker_loop,
-                        args=(wid,),
-                        name=f"serve-worker-{wid}",
-                        daemon=True,
-                    )
-                    self._workers[wid] = thread
-                    thread.start()
-                    self.telemetry.counter("serve.workers.spawned").inc()
+    def _start_workers(self) -> None:
+        """Fork ``min_workers`` workers and start the dispatch loop.
 
-    def _supervise(self) -> None:
-        """Autoscale between bounds by queue pressure."""
-        while not self._stop_workers.is_set():
-            pressure = self.queue.pressure()
-            desired = min(self.max_workers, max(self.min_workers, pressure))
-            if desired > self._desired_workers:
-                self._scale_to(desired)
-                self._emit(
-                    {
-                        "type": "scaled",
-                        "workers": desired,
-                        "pressure": pressure,
-                    }
-                )
-            elif desired < self._desired_workers:
-                # shrink lazily: idle workers with ids past the target
-                # retire themselves on their next queue timeout
-                self._desired_workers = desired
-                self._emit(
-                    {
-                        "type": "scaled",
-                        "workers": desired,
-                        "pressure": pressure,
-                    }
-                )
-            self._stop_workers.wait(timeout=self.scale_interval)
+        Called once the snapshots are booted and the start-up profile
+        records loaded: every worker inherits both through ``fork``.
+        """
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ServeError(
+                "the serve daemon runs jobs in fork-started worker "
+                "processes, and this platform cannot fork"
+            )
+        # a module import in progress in another thread at fork time
+        # would leave its lock held in the child: import what jobs
+        # import lazily here, before any worker exists
+        import repro.malware  # noqa: F401
+
+        self._inherited = frozenset(self._records)
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._wake_recv.setblocking(False)
+        self._wake_send.setblocking(False)
+        self._workers = WorkerPool(self._worker_main)
+        self._workers.resize(self.min_workers)
+        self._publish_workers()
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop, name="serve-dispatch", daemon=True
+        )
+        self._dispatcher.start()
+
+    def _worker_main(self, conn: Any) -> None:
+        """A worker process's entry point (runs in the forked child)."""
+        # Ctrl-C reaches the whole process group: the daemon drains,
+        # its workers finish their jobs
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        _WorkerLoop(self, conn).serve()
+
+    def _wake(self) -> None:
+        """Interrupt the dispatch loop's wait (new work, shutdown)."""
+        if self._wake_send is not None:
+            try:
+                self._wake_send.send(b"\0")
+            except OSError:
+                pass  # a wake-up is already pending, or the loop ended
+
+    def _dispatch_loop(self) -> None:
+        """The one parent thread that drives the worker processes."""
+        pool = self._workers
+        try:
+            while not self._stop_dispatch.is_set():
+                for event in pool.poll(
+                    self.scale_interval, wake=[self._wake_recv]
+                ):
+                    self._on_event(event)
+                try:
+                    while self._wake_recv.recv(4096):
+                        pass
+                except OSError:
+                    pass  # drained
+                self._autoscale()
+                self._assign_idle()
+                self._sync_controls()
+                self._publish_workers()
+        finally:
+            stranded = [worker.task for worker in pool.busy()]
+            pool.close()
+            for run in stranded:
+                self._close_journal(run)
+                self._fail(run.qjob, _STOPPED_ERROR)
+            with self._resolved_lock:
+                # a profile thread still running now fails its own job
+                self._stop_dispatch.set()
+                stranded_resolved = list(self._resolved)
+                self._resolved.clear()
+            for qjob in stranded_resolved:
+                self._fail(qjob, _STOPPED_ERROR)
+            self._publish_workers()
+            self._wake_send.close()
+            self._wake_recv.close()
+
+    def _autoscale(self) -> None:
+        """Size the pool between bounds by queue pressure (a surplus
+        worker retires once it is idle)."""
+        pressure = self.queue.pressure()
+        desired = min(self.max_workers, max(self.min_workers, pressure))
+        if desired != self._desired_workers:
+            self._desired_workers = desired
+            self._emit(
+                {"type": "scaled", "workers": desired, "pressure": pressure}
+            )
+        self._workers.resize(desired)
 
     def worker_count(self) -> int:
-        with self._workers_lock:
-            return sum(1 for t in self._workers.values() if t.is_alive())
+        return len(self._worker_pids)
 
-    def _worker_loop(self, worker_id: int) -> None:
-        while True:
-            if self._stop_workers.is_set():
-                break
-            if worker_id >= self._desired_workers:
-                # scaled down: retire only while idle
-                with self._workers_lock:
-                    self._workers.pop(worker_id, None)
-                self.telemetry.counter("serve.workers.retired").inc()
-                break
-            job = self.queue.next_job(timeout=0.05)
-            if job is None:
-                continue
-            self._run_one(job)
+    def _publish_workers(self) -> None:
+        """Account spawned and retired workers; publish the live pids."""
+        pids = tuple(worker.pid for worker in self._workers.workers)
+        spawned = len(set(pids) - set(self._worker_pids))
+        gone = set(self._worker_pids) - set(pids)
+        if spawned:
+            self.telemetry.counter("serve.workers.spawned").inc(spawned)
+        if gone:
+            self.telemetry.counter("serve.workers.retired").inc(len(gone))
+            for pid in gone:
+                self.pool.forget(pid)
+        self._worker_pids = pids
 
-    # -- job execution -----------------------------------------------------------
+    def _assign_idle(self) -> None:
+        """Hand each idle worker the next job whose record is ready."""
+        for worker in self._workers.idle():
+            while True:
+                if self._resolved:
+                    qjob = self._resolved.popleft()
+                else:
+                    qjob = self.queue.next_job()
+                if qjob is None:
+                    return
+                key = _record_key(qjob.job)
+                if self._executor is None and key not in self._records:
+                    # profile loading (and auto-profiling) runs off this
+                    # thread, which keeps relaying running jobs' messages
+                    threading.Thread(
+                        target=self._resolve, args=(qjob,),
+                        name="serve-profile", daemon=True,
+                    ).start()
+                    continue
+                if not self._assign(worker, qjob, key):
+                    self._resolved.appendleft(qjob)  # dead worker: next one
+                break
+
+    def _assign(self, worker: Worker, qjob: QueuedJob, key: Any) -> bool:
+        job = qjob.job
+        run = _Running(qjob, budget=self.queue.remaining_budget(qjob.tenant))
+        message = {"type": "job", "qjob": qjob, "budget": run.budget}
+        if self._executor is None and key not in self._inherited:
+            message["record"] = self._records[key]
+        if not self._workers.assign(
+            worker, run, message, job.timeout + _KILL_GRACE
+        ):
+            return False
+        self._emit(
+            {
+                "type": "start",
+                "id": qjob.id,
+                "job": job.name or job.identity(),
+                "app": job.app,
+                "tenant": qjob.tenant,
+                "trace": qjob.trace_id,
+            }
+        )
+        if self._obs_store is not None and qjob.trace_id:
+            try:
+                run.writer = self._obs_store.job_journal(
+                    qjob.trace_id, _job_meta(qjob)
+                )
+            except OSError:
+                self.telemetry.counter("serve.obs.errors").inc()
+        return True
+
+    def _sync_controls(self) -> None:
+        """Send each busy worker its job's cancel and budget changes."""
+        for worker in self._workers.busy():
+            run = worker.task
+            qjob = run.qjob
+            if qjob.cancel_requested and not run.cancel_sent:
+                run.cancel_sent = True
+                self._workers.send(worker, {"type": "cancel", "job": qjob.id})
+            budget = self.queue.remaining_budget(qjob.tenant)
+            if budget != run.budget:
+                run.budget = budget
+                self._workers.send(
+                    worker, {"type": "budget", "job": qjob.id, "budget": budget}
+                )
+
+    def _on_event(self, event: Event) -> None:
+        run = event.task
+        if event.kind == "failed":
+            self.telemetry.counter("serve.workers.lost").inc()
+            if run is not None:
+                self._close_journal(run)
+                self._fail(run.qjob, event.error)
+            return
+        message = event.message
+        if "pool" in message:
+            self.pool.absorb(event.worker.pid, message["pool"])
+        if event.kind == "result":
+            self._close_journal(run)
+            self._complete(run.qjob, message)
+        elif run is not None and message["type"] in ("heartbeat", "journal"):
+            if message["type"] == "journal" and run.writer is not None:
+                try:
+                    run.writer.extend(message["records"], message["dropped"])
+                except OSError:
+                    self.telemetry.counter("serve.obs.errors").inc()
+            qjob = run.qjob
+            self._emit(
+                {
+                    **message,
+                    "id": qjob.id,
+                    "tenant": qjob.tenant,
+                    "trace": qjob.trace_id,
+                }
+            )
+
+    def _close_journal(self, run: _Running) -> None:
+        if run.writer is not None:
+            try:
+                run.writer.close()
+            except OSError:
+                self.telemetry.counter("serve.obs.errors").inc()
+
+    # -- job outcomes ------------------------------------------------------------
 
     def _record_for(self, job: FleetJob) -> ProfileRecord:
         config = job.guest_config()
-        key = (job.app, config.build_digest())
+        key = _record_key(job)
         with self._records_lock:
             record = self._records.get(key)
             if record is not None:
@@ -648,139 +951,77 @@ class ServeDaemon:
             self._records[key] = record
             return record
 
-    def _execute(self, qjob: QueuedJob):
-        """Default executor: warm clone + the batch fleet's job path."""
-        job = qjob.job
-        record = self._record_for(job)
-        started = time.monotonic()
-        clone = self.pool.acquire(job.guest_config())
-        name = job.name or job.identity()
-        meta = {
-            "trace": qjob.trace_id,
-            "job": qjob.id,
-            "name": name,
-            "tenant": qjob.tenant,
-            "app": job.app,
-        }
-        trace_writer = None
-        if self._obs_store is not None and qjob.trace_id:
-            try:
-                trace_writer = self._obs_store.job_journal(qjob.trace_id, meta)
-            except OSError:
-                self.telemetry.counter("serve.obs.errors").inc()
-        stamp = {"id": qjob.id, "tenant": qjob.tenant, "trace": qjob.trace_id}
-
-        def sink(message: Dict[str, Any]) -> None:
-            if trace_writer is not None and message["type"] == "journal":
-                try:
-                    trace_writer.extend(message["records"], message["dropped"])
-                except OSError:
-                    self.telemetry.counter("serve.obs.errors").inc()
-            self._emit({**message, **stamp})
-
-        def control(consumed: int) -> None:
-            if qjob.cancel_requested:
-                raise JobAborted("cancelled", consumed)
-            remaining = self.queue.remaining_budget(qjob.tenant)
-            if remaining is not None and consumed > remaining:
-                raise JobAborted("tenant-budget", consumed)
-            if time.monotonic() - started > job.timeout:
-                raise JobAborted("timeout", consumed)
-
+    def _resolve(self, qjob: QueuedJob) -> None:
+        """Load (or auto-profile) ``qjob``'s record, then queue it for
+        the next idle worker; library writes are serialized here."""
         try:
-            return execute_job(
-                clone, job, record,
-                base_seed=self.base_seed,
-                sink=sink,
-                control=control,
-                heartbeat=self.heartbeat_interval,
-                meta=meta,
-            )
-        finally:
-            if trace_writer is not None:
-                try:
-                    trace_writer.close()
-                except OSError:
-                    self.telemetry.counter("serve.obs.errors").inc()
+            self._record_for(qjob.job)
+        except Exception as exc:  # noqa: BLE001 - crash isolation boundary
+            self._fail(qjob, f"{type(exc).__name__}: {exc}")
+            return
+        with self._resolved_lock:
+            stopped = self._stop_dispatch.is_set()
+            if not stopped:
+                self._resolved.append(qjob)
+        if stopped:
+            self._fail(qjob, _STOPPED_ERROR)
+        else:
+            self._wake()
 
-    def _run_one(self, qjob: QueuedJob) -> None:
-        job = qjob.job
-        name = job.name or job.identity()
+    def _finish(
+        self,
+        qjob: QueuedJob,
+        state: str,
+        error: str = "",
+        result: Optional[Dict[str, Any]] = None,
+        charged: int = 0,
+        **fields: Any,
+    ) -> None:
+        """Account a job's end in the queue and the event stream."""
+        self.queue.finish(
+            qjob, state, result=result, error=error, charged_cycles=charged
+        )
         self._emit(
             {
-                "type": "start",
+                "type": "cancelled" if state == "cancelled" else "done",
                 "id": qjob.id,
-                "job": name,
-                "app": job.app,
+                "job": qjob.job.name or qjob.job.identity(),
                 "tenant": qjob.tenant,
+                "ok": state == "done",
+                "error": error.splitlines()[0] if error else "",
                 "trace": qjob.trace_id,
+                **fields,
             }
         )
-        try:
-            result = self._executor(qjob)
-        except JobAborted as abort:
-            state = "cancelled" if abort.reason == "cancelled" else "failed"
-            error = _ABORT_ERRORS[abort.reason]
-            self.queue.finish(
-                qjob, state, error=error,
-                charged_cycles=abort.consumed_cycles,
-            )
-            self._emit(
-                {
-                    "type": "cancelled" if state == "cancelled" else "done",
-                    "id": qjob.id,
-                    "job": name,
-                    "tenant": qjob.tenant,
-                    "ok": False,
-                    "error": error,
-                    "trace": qjob.trace_id,
-                }
-            )
+
+    def _fail(self, qjob: QueuedJob, error: str) -> None:
+        self._finish(qjob, "failed", error)
+
+    def _complete(self, qjob: QueuedJob, message: Dict[str, Any]) -> None:
+        """Account a worker's reply: result, abort or crash."""
+        if "error" in message:
+            self._fail(qjob, message["error"])
             return
-        except Exception as exc:  # noqa: BLE001 - crash isolation boundary
-            error = (
-                f"{type(exc).__name__}: {exc}\n"
-                f"{traceback.format_exc(limit=4)}"
-            )
-            self.queue.finish(qjob, "failed", error=error)
-            self._emit(
-                {
-                    "type": "done",
-                    "id": qjob.id,
-                    "job": name,
-                    "tenant": qjob.tenant,
-                    "ok": False,
-                    "error": error.splitlines()[0],
-                    "trace": qjob.trace_id,
-                }
-            )
+        if "abort" in message:
+            reason, consumed = message["abort"]
+            state = "cancelled" if reason == "cancelled" else "failed"
+            self._finish(qjob, state, _ABORT_ERRORS[reason], charged=consumed)
             return
+        result = message["result"]
         data = result.to_dict()
         data["id"] = qjob.id
         data["tenant"] = qjob.tenant
         if result.telemetry:
             with self._lifetime_lock:
                 merge_into(self._lifetime, result.telemetry)
-        state = "done" if result.ok else "failed"
-        self.queue.finish(
+        self._finish(
             qjob,
-            state,
+            "done" if result.ok else "failed",
+            result.error,
             result=data,
-            error=result.error,
-            charged_cycles=result.job_cycles,
-        )
-        self._emit(
-            {
-                "type": "done",
-                "id": qjob.id,
-                "job": name,
-                "tenant": qjob.tenant,
-                "ok": result.ok,
-                "error": result.error,
-                "cycles": result.cycles,
-                "detected": result.detected,
-                "trace": qjob.trace_id,
-            }
+            charged=result.job_cycles,
+            cycles=result.cycles,
+            detected=result.detected,
         )
 
     # -- queries -----------------------------------------------------------------
@@ -803,6 +1044,7 @@ class ServeDaemon:
                 "desired": self._desired_workers,
                 "min": self.min_workers,
                 "max": self.max_workers,
+                "pids": list(self._worker_pids),
             },
             "serve": telemetry_snapshot(self.telemetry),
             "jobs_telemetry": lifetime,
@@ -1160,6 +1402,7 @@ class ServeDaemon:
         job_id = str(request.get("id", ""))
         try:
             action = self.queue.cancel(job_id)
+            self._wake()  # a running job's worker hears of it promptly
         except KeyError:
             protocol.send_message(
                 conn,

@@ -19,8 +19,9 @@ plus per-tenant tallies) so capacity planning has data, not anecdotes.
 
 Scheduling is strict priority (higher first), FIFO within a priority
 class.  Cancellation of a queued job is immediate; cancellation of a
-running job sets a flag that the job's control check observes after
-its next run step.
+running job sets a flag that the daemon's dispatch loop forwards to the
+job's worker process, whose control check observes it after its next
+run step.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ class TenantState:
 class JobQueue:
     """Thread-safe priority queue with admission control.
 
-    The queue owns job state transitions; the daemon's workers call
-    :meth:`next_job` / :meth:`mark_running` / :meth:`finish`, the API
+    The queue owns job state transitions; the daemon's dispatch loop
+    calls :meth:`next_job` / :meth:`finish`, the API
     layer calls :meth:`submit` / :meth:`cancel` / :meth:`get`.  A single
     condition variable serializes everything -- contention is tiny next
     to the cost of running a guest.
@@ -281,42 +282,25 @@ class JobQueue:
             state.in_flight += 1
             state.submitted += 1
             self._count("serve.submitted", tenant)
-            self._cond.notify()
             return queued
 
-    # -- worker side ---------------------------------------------------------
+    # -- dispatch side -------------------------------------------------------
 
-    def next_job(self, timeout: Optional[float] = None) -> Optional[QueuedJob]:
-        """Pop the highest-priority queued job, waiting up to ``timeout``.
-
-        Returns ``None`` on timeout (workers use this to re-check their
-        shrink flag).  The returned job is transitioned to ``running``.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def next_job(self) -> Optional[QueuedJob]:
+        """Pop the highest-priority queued job, or ``None`` if none is
+        queued.  The returned job is transitioned to ``running``."""
         with self._cond:
-            while True:
-                job = self._pop_runnable()
-                if job is not None:
-                    return job
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        return self._pop_runnable()
-
-    def _pop_runnable(self) -> Optional[QueuedJob]:
-        while self._heap:
-            _, _, job_id = heapq.heappop(self._heap)
-            job = self._jobs[job_id]
-            if job.state != "queued":
-                continue  # cancelled while queued; already accounted
-            job.state = "running"
-            job.started_at = time.time()
-            self._queued -= 1
-            self._running += 1
-            return job
-        return None
+            while self._heap:
+                _, _, job_id = heapq.heappop(self._heap)
+                job = self._jobs[job_id]
+                if job.state != "queued":
+                    continue  # cancelled while queued; already accounted
+                job.state = "running"
+                job.started_at = time.time()
+                self._queued -= 1
+                self._running += 1
+                return job
+            return None
 
     def finish(
         self,

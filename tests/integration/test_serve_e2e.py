@@ -169,3 +169,116 @@ def test_daemon_honours_the_submitted_wall_clock_timeout(library, daemon):
     # the cycles the job consumed before the abort were charged
     tenants = daemon.queue.describe()["tenants"]
     assert tenants["default"]["charged_cycles"] > 0
+
+
+# ---------------------------------------------------------------------------
+# worker processes: failure isolation, pool accounting, library writes
+# ---------------------------------------------------------------------------
+
+
+def test_sigkilled_worker_fails_its_job_and_is_replaced(library):
+    import os
+    import queue
+    import signal
+
+    from repro.fleet.jobs import run_job_on_fresh_machine
+
+    daemon = ServeDaemon(
+        library, min_workers=1, max_workers=1, warm_target=0,
+        heartbeat_interval=0.02,
+    )
+    daemon.start()
+    sink, _ = daemon.subscribe()
+    try:
+        [victim] = daemon.stats()["workers"]["pids"]
+        doomed = daemon.submit({"app": "top", "scale": 10})
+        while True:  # kill it mid-job: once its first heartbeat arrives
+            try:
+                event = sink.get(timeout=60.0)
+            except queue.Empty:
+                pytest.fail("the job never sent a heartbeat")
+            if event["type"] == "heartbeat" and event["id"] == doomed.id:
+                break
+        os.kill(victim, signal.SIGKILL)
+        done = daemon.queue.wait_terminal(doomed.id, timeout=60.0)
+        assert done.state == "failed"
+        assert done.error == (
+            "worker exited with code -9 before returning a result"
+        )
+
+        # a replacement worker serves the next job, bit-identical to solo
+        qjob = daemon.submit({"app": "top", "scale": 2})
+        served = daemon.queue.wait_terminal(qjob.id, timeout=120.0)
+        assert served.state == "done", served.error
+        [replacement] = daemon.stats()["workers"]["pids"]
+        assert replacement != victim
+        build = qjob.job.guest_config().build_digest()
+        solo = run_job_on_fresh_machine(qjob.job, library.get("top", build))
+        assert (served.result["cycles"], served.result["syscalls"]) == (
+            solo.cycles, solo.syscalls
+        )
+    finally:
+        daemon.unsubscribe(sink)
+        daemon.shutdown(timeout=30.0)
+
+
+def test_pool_accounting_covers_every_worker(library):
+    import time
+
+    daemon = ServeDaemon(library, min_workers=2, max_workers=2, warm_target=1)
+    daemon.start()
+    try:
+        jobs = [daemon.submit({"app": "top", "scale": 1}) for _ in range(6)]
+        for qjob in jobs:
+            done = daemon.queue.wait_terminal(qjob.id, timeout=120.0)
+            assert done.state == "done", done.error
+        stats = daemon.stats()
+        pool = stats["pool"]
+        assert sum(v["hits"] + v["misses"] for v in pool.values()) == len(jobs)
+        labelled = stats["serve"]["labelled_counters"]
+        assert sum(labelled.get("serve.pool.hits", {}).values()) + sum(
+            labelled.get("serve.pool.misses", {}).values()
+        ) == len(jobs)
+        # --warm is per worker: idle, each of the 2 refills its buffer
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            if sum(v["warm"] for v in daemon.stats()["pool"].values()) == 2:
+                break
+            time.sleep(0.05)
+        assert sum(v["warm"] for v in daemon.stats()["pool"].values()) == 2
+    finally:
+        daemon.shutdown(timeout=30.0)
+
+
+def test_auto_profile_library_writes_stay_in_the_daemon(tmp_path, monkeypatch):
+    import repro.serve.daemon as daemon_mod
+
+    profiled = []
+    real = daemon_mod.prepare_offline_phase
+
+    def counting(library, apps, **kwargs):
+        # only calls made in this process are visible here
+        profiled.extend(apps)
+        return real(library, apps, **kwargs)
+
+    monkeypatch.setattr(daemon_mod, "prepare_offline_phase", counting)
+    libdir = tmp_path / "lib"
+    daemon = ServeDaemon(
+        ProfileLibrary(libdir), min_workers=2, max_workers=2,
+        warm_target=0, auto_profile=True, profile_scale=1,
+    )
+    daemon.start()
+    try:
+        jobs = [
+            daemon.submit({"app": app, "scale": 1}) for app in ("top", "gzip")
+        ]
+        for qjob in jobs:
+            done = daemon.queue.wait_terminal(qjob.id, timeout=300.0)
+            assert done.state == "done", done.error
+    finally:
+        daemon.shutdown(timeout=30.0)
+    assert sorted(profiled) == ["gzip", "top"]
+    reread = ProfileLibrary(libdir)
+    build = jobs[0].job.guest_config().build_digest()
+    assert reread.apps() == ["gzip", "top"]
+    assert all(reread.digest_of(app, build) for app in ("gzip", "top"))

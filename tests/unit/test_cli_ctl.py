@@ -6,6 +6,8 @@ a daemon-reported failed job returns 1.  The daemon behind these tests
 uses a fake executor, so they stay fast.
 """
 
+import json
+import multiprocessing
 import threading
 import time
 
@@ -19,7 +21,7 @@ from repro.serve import ServeDaemon
 
 @pytest.fixture()
 def live_daemon(tmp_path):
-    def executor(qjob):
+    def executor(qjob, control):
         time.sleep(0.01)
         ok = qjob.job.app != "gzip"  # gzip jobs "fail" for the exit-1 case
         return JobResult(
@@ -148,6 +150,17 @@ def test_ctl_metrics_json_prom_series(live_daemon, capsys):
     assert "series" in series
 
 
+def test_ctl_stats_lists_worker_pids(live_daemon, capsys):
+    assert main(["ctl", "--socket", live_daemon, "stats", "--json"]) == 0
+    workers = json.loads(capsys.readouterr().out)["workers"]
+    assert len(workers["pids"]) == workers["alive"] >= 1
+    children = {p.pid for p in multiprocessing.active_children()}
+    assert set(workers["pids"]) <= children
+    assert main(["ctl", "--socket", live_daemon, "stats"]) == 0
+    out = capsys.readouterr().out
+    assert f"pids {' '.join(map(str, workers['pids']))}" in out
+
+
 def test_ctl_top_once_renders_frame(live_daemon, capsys):
     assert main(["ctl", "--socket", live_daemon, "top", "--once"]) == 0
     out = capsys.readouterr().out
@@ -157,7 +170,7 @@ def test_ctl_top_once_renders_frame(live_daemon, capsys):
 
 
 def test_ctl_shutdown_drains(tmp_path, capsys):
-    def executor(qjob):
+    def executor(qjob, control):
         time.sleep(0.01)
         return JobResult(
             name=qjob.job.name, app=qjob.job.app, ok=True,

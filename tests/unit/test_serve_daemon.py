@@ -1,12 +1,16 @@
 """Serve daemon: workers, cancel/budget aborts, drain, control socket.
 
 Everything here runs against a **fake executor** so the daemon's
-control plane (queue, events, workers, socket) is exercised without
-booting guests; the real execution path (and its bit-identity with the
+control plane (queue, events, worker processes, socket) is exercised
+without booting guests.  The executor runs inside a fork-started worker
+process, so tests coordinate with it through fork-context
+``multiprocessing`` events; the real execution path (and its bit-identity with the
 batch fleet) is covered by ``tests/integration/test_serve_e2e.py`` and
 ``benchmarks/record_serve_throughput.py``.
 """
 
+import multiprocessing
+import os
 import threading
 import time
 
@@ -27,7 +31,10 @@ from repro.serve.queue import REASON_NO_PROFILE, REASON_TENANT_BUDGET
 from repro.telemetry import Telemetry, snapshot
 
 
-def _result(qjob, cycles=1000):
+_MP = multiprocessing.get_context("fork")
+
+
+def _result(qjob, control=None, cycles=1000):
     registry = Telemetry()
     registry.counter("hv.exits").inc(7)
     return JobResult(
@@ -50,7 +57,8 @@ def _daemon(tmp_path, executor, workers=1, **kw):
         max_workers=max(1, workers),
         **kw,
     )
-    daemon._scale_to(workers)
+    if workers:
+        daemon._start_workers()
     return daemon
 
 
@@ -103,11 +111,10 @@ def test_submit_validates_app_attack_guest(tmp_path):
 
 
 def _blocking_executor(release, started):
-    def executor(qjob):
+    def executor(qjob, control):
         started.set()
         while not release.is_set():
-            if qjob.cancel_requested:
-                raise JobAborted("cancelled", 123)
+            control(123)  # raises JobAborted("cancelled", 123) on cancel
             time.sleep(0.005)
         return _result(qjob)
 
@@ -115,7 +122,7 @@ def _blocking_executor(release, started):
 
 
 def test_cancel_running_job_aborts_and_charges(tmp_path):
-    release, started = threading.Event(), threading.Event()
+    release, started = _MP.Event(), _MP.Event()
     daemon = _daemon(tmp_path, _blocking_executor(release, started))
     try:
         qjob = daemon.submit({"app": "top", "scale": 1})
@@ -135,7 +142,7 @@ def test_cancel_running_job_aborts_and_charges(tmp_path):
 def test_budget_exhaustion_mid_job_fails_and_blocks_tenant(tmp_path):
     consumed = 750
 
-    def executor(qjob):
+    def executor(qjob, control):
         raise JobAborted("tenant-budget", consumed)
 
     daemon = _daemon(
@@ -184,7 +191,7 @@ def test_no_profile_rejection_without_auto_profile(tmp_path):
 
 
 def test_graceful_shutdown_drains_every_queued_job(tmp_path):
-    def executor(qjob):
+    def executor(qjob, control):
         time.sleep(0.01)
         return _result(qjob)
 
@@ -200,7 +207,7 @@ def test_graceful_shutdown_drains_every_queued_job(tmp_path):
 
 
 def test_no_drain_shutdown_cancels_queued_keeps_running(tmp_path):
-    release, started = threading.Event(), threading.Event()
+    release, started = _MP.Event(), _MP.Event()
     daemon = _daemon(tmp_path, _blocking_executor(release, started))
     running = daemon.submit({"app": "top", "scale": 1})
     queued = daemon.submit({"app": "top", "scale": 1})
@@ -217,12 +224,180 @@ def test_no_drain_shutdown_cancels_queued_keeps_running(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# worker processes: lifecycle and failure isolation
+# ---------------------------------------------------------------------------
+
+
+def _two_worker_daemon(tmp_path, executor):
+    daemon = ServeDaemon(
+        ProfileLibrary(str(tmp_path / "lib")),
+        auto_profile=True,
+        executor=executor,
+        min_workers=2,
+        max_workers=2,
+    )
+    daemon._start_workers()
+    return daemon
+
+
+def test_drained_shutdown_keeps_every_result_and_reaps_workers(tmp_path):
+    def executor(qjob, control):
+        time.sleep(0.01)
+        return _result(qjob)
+
+    daemon = _two_worker_daemon(tmp_path, executor)
+    pids = daemon.stats()["workers"]["pids"]
+    assert len(pids) == 2 and os.getpid() not in pids
+    jobs = [daemon.submit({"app": "top", "scale": 1}) for _ in range(6)]
+    summary = daemon.shutdown(drain=True, timeout=10.0)
+    assert summary["drained"]
+    assert summary["jobs"] == {"done": 6}
+    assert all(q.result is not None for q in jobs)
+    assert multiprocessing.active_children() == []
+    assert daemon.stats()["workers"]["pids"] == []
+
+
+def test_no_drain_shutdown_keeps_running_results_and_reaps_workers(tmp_path):
+    release, started = _MP.Event(), _MP.Event()
+    daemon = _two_worker_daemon(tmp_path, _blocking_executor(release, started))
+    running = [daemon.submit({"app": "top", "scale": 1}) for _ in range(2)]
+    deadline = time.monotonic() + 5.0
+    while daemon.queue.running < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert daemon.queue.running == 2
+    queued = [daemon.submit({"app": "top", "scale": 1}) for _ in range(2)]
+    shutdown = threading.Thread(
+        target=daemon.shutdown, kwargs={"drain": False, "timeout": 10.0}
+    )
+    shutdown.start()
+    release.set()
+    shutdown.join(timeout=10.0)
+    assert not shutdown.is_alive()
+    assert [q.state for q in running] == ["done", "done"]
+    assert all(q.result is not None for q in running)
+    assert [q.state for q in queued] == ["cancelled", "cancelled"]
+    assert multiprocessing.active_children() == []
+
+
+def test_more_workers_than_cores_lose_no_update(tmp_path):
+    """Stress: 4 worker processes, 4 submitting threads, 40 jobs."""
+
+    def executor(qjob, control):
+        control(1)
+        return _result(qjob)
+
+    daemon = ServeDaemon(
+        ProfileLibrary(str(tmp_path / "lib")),
+        auto_profile=True,
+        executor=executor,
+        min_workers=4,
+        max_workers=4,
+        default_policy=TenantPolicy(cycle_budget=10**9),
+    )
+    daemon._start_workers()
+    jobs = []
+
+    def submit_ten():
+        for _ in range(10):
+            jobs.append(daemon.submit({"app": "top", "scale": 1}))
+
+    submitters = [threading.Thread(target=submit_ten) for _ in range(4)]
+    for thread in submitters:
+        thread.start()
+    for thread in submitters:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    summary = daemon.shutdown(drain=True, timeout=30.0)
+    assert summary["drained"] and summary["jobs"] == {"done": 40}
+    assert len({q.job.name for q in jobs}) == 40
+    counters = snapshot(daemon.telemetry)["labelled_counters"]
+    assert counters["serve.completed"] == {"default": 40}
+    lifetime = daemon.stats()["jobs_telemetry"]
+    assert lifetime["sources"] == 40
+    assert lifetime["counters"]["hv.exits"] == 280
+    tenant = daemon.queue.describe()["tenants"]["default"]
+    assert tenant["charged_cycles"] == 40 * 1000
+
+
+def test_job_stuck_outside_control_is_killed_at_its_deadline(tmp_path):
+    from repro.fleet.jobs import TIMEOUT_ERROR
+
+    def executor(qjob, control):
+        if qjob.job.app == "top":
+            time.sleep(60)  # never calls control
+        return _result(qjob)
+
+    daemon = _daemon(tmp_path, executor)
+    try:
+        stuck = daemon.submit({"app": "top", "scale": 1, "timeout": 2})
+        done = daemon.queue.wait_terminal(stuck.id, timeout=30.0)
+        assert done.state == "failed"
+        assert done.error == TIMEOUT_ERROR
+        assert done.finished_at - done.started_at < 10.0
+        # the killed worker was replaced and the daemon carries on
+        after = daemon.submit({"app": "gzip", "scale": 1})
+        assert daemon.queue.wait_terminal(after.id, timeout=10.0).state == "done"
+        counters = snapshot(daemon.telemetry)["counters"]
+        assert counters["serve.workers.lost"] == 1
+        assert counters["serve.workers.spawned"] == 2
+    finally:
+        daemon.shutdown(timeout=10.0)
+
+
+def test_autoscale_grows_under_pressure_and_retires_idle_workers(tmp_path):
+    release, started = _MP.Event(), _MP.Event()
+    daemon = _daemon(tmp_path, _blocking_executor(release, started), workers=2)
+    try:
+        jobs = [daemon.submit({"app": "top", "scale": 1}) for _ in range(2)]
+        deadline = time.monotonic() + 5.0
+        while daemon.queue.running < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert daemon.queue.running == 2 and daemon.worker_count() == 2
+        release.set()
+        for qjob in jobs:
+            assert daemon.queue.wait_terminal(qjob.id, timeout=5.0) is not None
+        deadline = time.monotonic() + 5.0
+        while daemon.worker_count() > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert daemon.worker_count() == 1
+        assert [e["workers"] for e in _events(daemon, "scaled")] == [2, 1]
+        counters = snapshot(daemon.telemetry)["counters"]
+        assert counters["serve.workers.spawned"] == 2
+        assert counters["serve.workers.retired"] == 1
+    finally:
+        release.set()
+        daemon.shutdown(timeout=10.0)
+
+
+def test_job_still_profiling_at_shutdown_fails_instead_of_hanging(tmp_path):
+    from repro.serve.daemon import _STOPPED_ERROR
+
+    profiling, release = threading.Event(), threading.Event()
+
+    def slow_record_for(job):
+        profiling.set()
+        release.wait(timeout=10.0)
+
+    daemon = _daemon(tmp_path, None)  # the real path resolves records
+    daemon._record_for = slow_record_for
+    qjob = daemon.submit({"app": "top", "scale": 1})
+    assert profiling.wait(timeout=5.0)
+    summary = daemon.shutdown(timeout=0.1)
+    assert not summary["drained"]
+    release.set()
+    done = daemon.queue.wait_terminal(qjob.id, timeout=5.0)
+    assert done is not None and done.state == "failed"
+    assert done.error == _STOPPED_ERROR
+    assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
 # control socket end-to-end (fake executor, real unix socket + client)
 # ---------------------------------------------------------------------------
 
 
 def test_control_socket_end_to_end(tmp_path):
-    release, started = threading.Event(), threading.Event()
+    release, started = _MP.Event(), _MP.Event()
     sock = str(tmp_path / "serve.sock")
     daemon = ServeDaemon(
         ProfileLibrary(str(tmp_path / "lib")),
@@ -293,6 +468,39 @@ def test_control_socket_end_to_end(tmp_path):
         daemon.shutdown(timeout=5.0)
 
 
+def test_control_socket_opens_after_every_thread_started(
+    tmp_path, monkeypatch
+):
+    """A request may arrive the moment the socket listens (perfbench
+    shuts a fresh daemon down right after its first ping)."""
+    from repro.serve import protocol
+
+    seen = {}
+    real_listen = protocol.listen
+
+    def listen(path):
+        seen["metrics"] = daemon._metrics_thread.is_alive()
+        seen["dispatch"] = daemon._dispatcher.is_alive()
+        return real_listen(path)
+
+    monkeypatch.setattr(protocol, "listen", listen)
+    sock = str(tmp_path / "serve.sock")
+    daemon = ServeDaemon(
+        ProfileLibrary(str(tmp_path / "lib")),
+        socket_path=sock,
+        auto_profile=True,
+        executor=_result,
+        warm_target=0,
+        metrics_interval=0.05,
+    )
+    try:
+        daemon.start()
+        assert seen == {"metrics": True, "dispatch": True}
+        assert ServeClient(sock).shutdown(drain=True, timeout=10.0)["drained"]
+    finally:
+        daemon.shutdown(timeout=10.0)
+
+
 def test_client_unreachable_raises(tmp_path):
     from repro.serve.client import DaemonUnreachable
 
@@ -322,7 +530,7 @@ def test_event_sink_bounded_offer_and_drop_accounting():
 
 
 def test_metrics_sampling_fires_queue_saturation(tmp_path):
-    release, started = threading.Event(), threading.Event()
+    release, started = _MP.Event(), _MP.Event()
     daemon = _daemon(
         tmp_path,
         _blocking_executor(release, started),

@@ -69,7 +69,7 @@ def test_queue_full_rejection_counts_and_reports():
 def test_queue_full_counts_only_queued_not_running():
     queue = JobQueue(max_depth=1)
     queue.submit(_job())
-    assert queue.next_job(timeout=0.1) is not None  # now running
+    assert queue.next_job() is not None  # now running
     queue.submit(_job())  # depth back to 1: admitted
 
 
@@ -88,7 +88,7 @@ def test_tenant_budget_rejects_after_exhaustion():
     policy = TenantPolicy(cycle_budget=1000)
     queue = JobQueue(default_policy=policy)
     first = queue.submit(_job())
-    running = queue.next_job(timeout=0.1)
+    running = queue.next_job()
     assert running is first
     queue.finish(running, "done", charged_cycles=1500)
     assert queue.remaining_budget("default") == 0
@@ -115,7 +115,7 @@ def test_priority_order_then_fifo():
     low = queue.submit(_job(), priority=0)
     high = queue.submit(_job(), priority=5)
     low2 = queue.submit(_job(), priority=0)
-    order = [queue.next_job(timeout=0.1) for _ in range(3)]
+    order = [queue.next_job() for _ in range(3)]
     assert order == [high, low, low2]
 
 
@@ -124,7 +124,7 @@ def test_next_job_skips_cancelled_entries():
     first = queue.submit(_job())
     second = queue.submit(_job())
     assert queue.cancel(first.id) == "cancelled"
-    assert queue.next_job(timeout=0.1) is second
+    assert queue.next_job() is second
     assert first.state == "cancelled"
 
 
@@ -137,7 +137,7 @@ def test_cancel_queued_is_immediate_running_is_a_request():
     queue = JobQueue()
     running = queue.submit(_job())
     still_queued = queue.submit(_job())
-    assert queue.next_job(timeout=0.1) is running
+    assert queue.next_job() is running
     assert queue.cancel(running.id) == "cancel-requested"
     assert running.cancel_requested and not running.terminal
     assert queue.cancel(still_queued.id) == "cancelled"
@@ -149,7 +149,7 @@ def test_cancel_unknown_and_terminal():
     with pytest.raises(KeyError):
         queue.cancel("job-9999")
     job = queue.submit(_job())
-    queue.next_job(timeout=0.1)
+    queue.next_job()
     queue.finish(job, "done")
     with pytest.raises(ValueError):
         queue.cancel(job.id)
@@ -163,7 +163,7 @@ def test_cancel_unknown_and_terminal():
 def test_wait_drained_blocks_until_all_terminal():
     queue = JobQueue()
     job = queue.submit(_job())
-    running = queue.next_job(timeout=0.1)
+    running = queue.next_job()
     assert not queue.wait_drained(timeout=0.05)
 
     def finish():
@@ -182,7 +182,7 @@ def test_wait_terminal_returns_finished_job():
     queue = JobQueue()
     job = queue.submit(_job())
     assert queue.wait_terminal(job.id, timeout=0.05) is None
-    queue.next_job(timeout=0.1)
+    queue.next_job()
     queue.finish(job, "failed", error="boom")
     found = queue.wait_terminal(job.id, timeout=0.5)
     assert found is job and found.state == "failed"
@@ -194,5 +194,5 @@ def test_pressure_counts_backlog_and_running():
     queue.submit(_job())
     queue.submit(_job())
     assert queue.pressure() == 2
-    queue.next_job(timeout=0.1)
+    queue.next_job()
     assert queue.pressure() == 2  # one running + one queued

@@ -18,7 +18,7 @@ from repro.fleet.jobs import JobResult
 from repro.serve import MetricsDisabled, ServeClient, ServeDaemon
 
 
-def fake_executor(qjob):
+def fake_executor(qjob, control):
     time.sleep(0.01)
     return JobResult(
         name=qjob.job.name, app=qjob.job.app, ok=True,
